@@ -266,6 +266,16 @@ std::optional<int> PolicyRegistry::Find(PolicyAxis axis,
   return it->second;
 }
 
+const std::string& PolicyRegistry::CanonicalName(PolicyAxis axis,
+                                                 int value) const {
+  // The first registration of a value is its canonical name.
+  for (const auto& [name, v] : Table(axis).registered) {
+    if (v == value) return name;
+  }
+  OODB_CHECK(false);  // value never registered on this axis
+  return Table(axis).registered.front().first;  // unreachable
+}
+
 std::optional<buffer::ReplacementPolicy> PolicyRegistry::Replacement(
     std::string_view name) const {
   const auto v = Find(PolicyAxis::kReplacement, name);

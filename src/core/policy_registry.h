@@ -76,6 +76,14 @@ class PolicyRegistry {
   std::optional<ShardPlacement> ShardPlacementOf(std::string_view name) const;
   std::optional<ArrivalProcess> Arrival(std::string_view name) const;
 
+  /// The untyped lookup behind the accessors above: the enum value (as an
+  /// int) registered under `name` on `axis`, for codecs generic over axes.
+  std::optional<int> Find(PolicyAxis axis, std::string_view name) const;
+
+  /// The canonical name of enum value `value` on `axis` — the inverse of
+  /// Find, and the same string as the policy family's `*Name()`.
+  const std::string& CanonicalName(PolicyAxis axis, int value) const;
+
   /// Canonical names of one axis, in registration (= enum) order — for
   /// error messages and discoverability (`semclust_run --policies`).
   const std::vector<std::string>& CanonicalNames(PolicyAxis axis) const;
@@ -102,8 +110,6 @@ class PolicyRegistry {
   PolicyRegistry();
 
  private:
-  std::optional<int> Find(PolicyAxis axis, std::string_view name) const;
-
   struct AxisTable {
     std::map<std::string, int> by_name;  // normalized name -> value
     std::vector<std::string> canonical;  // first-registered names, in order

@@ -1,7 +1,10 @@
 #include "core/scenario.h"
 
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/experiment.h"
@@ -19,805 +22,599 @@ Status Err(std::string what) {
   return Status::InvalidArgument("scenario: " + std::move(what));
 }
 
-Status TypeErr(const std::string& key, const char* want) {
+Status TypeErr(const std::string& key, const std::string& want) {
   return Err("\"" + key + "\" must be " + want);
 }
 
-StatusOr<double> AsNumber(const JsonValue& v, const std::string& key) {
-  if (!v.is_number()) return TypeErr(key, "a number");
-  return v.number_value();
+// Built by appending: `"\"" + JsonEscape(s)` trips GCC 12's
+// -Werror=restrict false positive (PR105651) at -O3.
+std::string Quote(std::string_view s) {
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
 }
 
-StatusOr<int> AsInt(const JsonValue& v, const std::string& key) {
-  if (!v.is_number()) return TypeErr(key, "an integer");
-  return static_cast<int>(v.int_value());
-}
+// ------------------------------------------------------------------ codecs
+//
+// One codec per member type. Decode reads a JSON value into the member and
+// names the knob (`key`) in any error; Encode renders the member exactly as
+// JsonObjectWriter / JsonArrayWriter would. Integers accept only exact
+// integer text that fits the member's own type. Enums resolve through the
+// PolicyRegistry on `axis`, which every other type ignores. Vectors and
+// fixed-size arrays apply the element codec item by item.
 
-StatusOr<uint64_t> AsUint(const JsonValue& v, const std::string& key) {
-  if (!v.is_number()) return TypeErr(key, "a non-negative integer");
-  return v.uint_value();
-}
-
-StatusOr<bool> AsBool(const JsonValue& v, const std::string& key) {
-  if (!v.is_bool()) return TypeErr(key, "a boolean (true/false)");
-  return v.bool_value();
-}
-
-StatusOr<std::string> AsString(const JsonValue& v, const std::string& key) {
-  if (!v.is_string()) return TypeErr(key, "a string");
-  return v.string_value();
-}
-
-Status UnknownName(const std::string& key, PolicyAxis axis,
-                   const std::string& got) {
-  return Err("\"" + key + "\": unknown " + std::string(PolicyAxisName(axis)) +
-             " policy \"" + got + "\"; known: " + Reg().KnownNames(axis));
-}
-
-StatusOr<buffer::ReplacementPolicy> ResolveReplacement(
-    const JsonValue& v, const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Replacement(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kReplacement, *name);
-  return *p;
-}
-
-StatusOr<buffer::PrefetchPolicy> ResolvePrefetch(const JsonValue& v,
-                                                 const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Prefetch(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kPrefetch, *name);
-  return *p;
-}
-
-StatusOr<cluster::CandidatePool> ResolvePool(const JsonValue& v,
-                                             const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().CandidatePool(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kCandidatePool, *name);
-  return *p;
-}
-
-StatusOr<cluster::SplitPolicy> ResolveSplit(const JsonValue& v,
-                                            const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Split(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kSplit, *name);
-  return *p;
-}
-
-StatusOr<workload::StructureDensity> ResolveDensity(const JsonValue& v,
-                                                    const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Density(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kDensity, *name);
-  return *p;
-}
-
-StatusOr<obj::RelKind> ResolveRelKind(const JsonValue& v,
-                                      const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Relationship(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kRelKind, *name);
-  return *p;
-}
-
-StatusOr<ocb::RefLocality> ResolveOcbLocality(const JsonValue& v,
-                                              const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().OcbLocality(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kOcbLocality, *name);
-  return *p;
-}
-
-StatusOr<dyn::PolicyKind> ResolveDynamic(const JsonValue& v,
-                                         const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Dynamic(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kDynamic, *name);
-  return *p;
-}
-
-StatusOr<ShardPlacement> ResolveShardPlacement(const JsonValue& v,
-                                               const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().ShardPlacementOf(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kShardPlacement, *name);
-  return *p;
-}
-
-StatusOr<ArrivalProcess> ResolveArrival(const JsonValue& v,
-                                        const std::string& key) {
-  auto name = AsString(v, key);
-  if (!name.ok()) return name.status();
-  const auto p = Reg().Arrival(*name);
-  if (!p) return UnknownName(key, PolicyAxis::kArrival, *name);
-  return *p;
-}
-
-/// The "concurrency" config section (DESIGN.md §16). The cc_* knobs are
-/// only legal alongside "enabled": true — the same inert-knob guard as
-/// OCB keys without "kind" and dyn keys without "dynamic" — so a typo
-/// can't silently leave the cell without the lock manager.
-Status ParseConcurrencySection(const JsonValue& obj, cc::CcConfig& cc) {
-  if (!obj.is_object()) return TypeErr("config.concurrency", "an object");
-  std::string first_cc_key;
-  for (const auto& [key, v] : obj.members()) {
-    const std::string ctx = "config.concurrency." + key;
-    if (key == "enabled") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cc.enabled = *b;
-    } else if (key == "cc_lock_timeout_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.lock_timeout_s = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_max_retries") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.max_retries = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_backoff_base_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.backoff_base_s = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_backoff_cap_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cc.backoff_cap_s = *n;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else if (key == "cc_page_latches") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cc.page_latches = *b;
-      if (first_cc_key.empty()) first_cc_key = key;
-    } else {
-      return Err("config.concurrency: unknown key \"" + key +
-                 "\" (known: enabled, cc_lock_timeout_s, cc_max_retries, "
-                 "cc_backoff_base_s, cc_backoff_cap_s, cc_page_latches)");
+template <typename M>
+Status Decode(const JsonValue& v, const std::string& key, M& out,
+              PolicyAxis axis = {}) {
+  if constexpr (std::is_same_v<M, bool>) {
+    if (!v.is_bool()) return TypeErr(key, "a boolean (true/false)");
+    out = v.bool_value();
+  } else if constexpr (std::is_integral_v<M>) {
+    const std::optional<M> n = v.integer_value<M>();
+    if (!n) {
+      const std::string range = std::to_string(std::numeric_limits<M>::min()) +
+                                " to " +
+                                std::to_string(std::numeric_limits<M>::max());
+      return TypeErr(key, "an integer from " + range);
     }
-  }
-  if (!first_cc_key.empty() && !cc.enabled) {
-    return Err("config.concurrency: \"" + first_cc_key +
-               "\" is a concurrency-control knob; add \"enabled\": true "
-               "to switch the lock manager on");
+    out = *n;
+  } else if constexpr (std::is_floating_point_v<M>) {
+    if (!v.is_number()) return TypeErr(key, "a number");
+    out = v.number_value();
+  } else if constexpr (std::is_same_v<M, std::string>) {
+    if (!v.is_string()) return TypeErr(key, "a string");
+    out = v.string_value();
+  } else if constexpr (std::is_enum_v<M>) {
+    if (!v.is_string()) return TypeErr(key, "a string");
+    const std::optional<int> p = Reg().Find(axis, v.string_value());
+    if (!p) {
+      return Err("\"" + key + "\": unknown " + PolicyAxisName(axis) +
+                 " policy \"" + v.string_value() +
+                 "\"; known: " + Reg().KnownNames(axis));
+    }
+    out = static_cast<M>(*p);
+  } else {  // std::vector or std::array
+    if (!v.is_array()) return TypeErr(key, "an array");
+    if constexpr (requires(M& m) { m.resize(0); }) {
+      out.resize(v.items().size());
+    } else if (v.items().size() != out.size()) {
+      const std::string size = std::to_string(out.size());
+      return TypeErr(key, "an array of " + size);
+    }
+    for (size_t i = 0; i < out.size(); ++i) {
+      OODB_RETURN_IF_ERROR(Decode(
+          v.items()[i], key + "[" + std::to_string(i) + "]", out[i], axis));
+    }
   }
   return Status::Ok();
 }
 
-/// A clustering entry: a bare pool name, or an object overriding fields of
-/// `from` (so a split policy set in "config" carries into sweep levels).
-StatusOr<cluster::ClusterConfig> ParseClusterEntry(
-    const JsonValue& v, cluster::ClusterConfig from, const std::string& ctx) {
+template <typename M>
+std::string Encode(const M& value, PolicyAxis axis = {}) {
+  if constexpr (std::is_same_v<M, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_integral_v<M>) {
+    return std::to_string(value);
+  } else if constexpr (std::is_floating_point_v<M>) {
+    return JsonNumber(value);
+  } else if constexpr (std::is_same_v<M, std::string>) {
+    return Quote(value);
+  } else if constexpr (std::is_enum_v<M>) {
+    return Quote(Reg().CanonicalName(axis, static_cast<int>(value)));
+  } else {
+    JsonArrayWriter items;
+    for (const auto& item : value) items.AddRaw(Encode(item, axis));
+    return items.str();
+  }
+}
+
+// ---------------------------------------------------------------- sections
+
+/// A kind gate: knobs that act only while another knob switches their
+/// subsystem on (OCB knobs need the OCB kind, dyn_* knobs a dynamic
+/// policy, ...). Setting a gated knob with the gate shut is a parse error,
+/// so a typo cannot silently leave the cell without the subsystem; ToJson
+/// writes gated knobs only while the gate is open.
+template <typename T>
+struct KindGate {
+  bool (*open)(const T&);
+  /// Completes the error `<section>: "<knob>" ...`.
+  const char* why;
+  /// A key whose mere presence opens the gate at parse time, even at a
+  /// value that keeps it shut for ToJson (an explicit one-shard base lets
+  /// a shards sweep axis pick up the shard_* knobs).
+  const char* opener = nullptr;
+};
+
+/// One row of a section table: a JSON key and how to read and write it.
+template <typename T>
+struct Knob {
+  std::string name;
+  /// Reads `v` into `t`; `key` is the knob's dotted path for errors.
+  std::function<Status(const JsonValue& v, const std::string& key, T& t)>
+      parse;
+  /// The value's JSON text for ToJson. No function (a parse-only knob)
+  /// leaves the key out, and so does an empty `[]` or `{}`, which parses
+  /// back to the same empty value as an absent key.
+  std::function<std::string(const T& t)> emit;
+  const KindGate<T>* gate = nullptr;
+  /// A further condition for ToJson to write the key.
+  bool (*when)(const T&) = nullptr;
+
+  Knob Under(const KindGate<T>& g) && {
+    gate = &g;
+    return std::move(*this);
+  }
+  Knob When(bool (*pred)(const T&)) && {
+    when = pred;
+    return std::move(*this);
+  }
+};
+
+template <typename T>
+using Knobs = std::vector<Knob<T>>;
+
+/// A knob stored at a member path from T (`&ClusterConfig::dynamic,
+/// &DynConfig::heat_decay`), with the codec its C++ type selects; `axis`
+/// resolves a registry enum (or a vector of them).
+template <typename T, typename M, typename... Rest>
+Knob<T> Policy(const char* name, PolicyAxis axis, M T::*first,
+               Rest... rest) {
+  const auto at = [=](auto& t) -> auto& {
+    return ((t.*first) .* ... .* rest);
+  };
+  return {name,
+          [=](const JsonValue& v, const std::string& key, T& t) {
+            return Decode(v, key, at(t), axis);
+          },
+          [=](const T& t) { return Encode(at(t), axis); }};
+}
+
+/// A member knob whose type needs no registry axis.
+template <typename T, typename M, typename... Rest>
+Knob<T> Field(const char* name, M T::*first, Rest... rest) {
+  return Policy(name, PolicyAxis{}, first, rest...);
+}
+
+/// Reads object `obj` into `t` through `knobs`; `ctx` is the section's
+/// dotted path ("" for the document itself). Keys apply in table order,
+/// not file order, so a knob may depend on the knobs above it (buffer
+/// levels on the database size, sweep levels on the base config).
+template <typename T>
+Status ParseSection(const JsonValue& obj, const std::string& ctx,
+                    const Knobs<T>& knobs, T& t) {
+  if (!obj.is_object()) return TypeErr(ctx, "an object");
+  const std::string where = ctx.empty() ? "top level" : ctx;
+  std::vector<const JsonValue*> given(knobs.size(), nullptr);
+  for (const auto& [key, v] : obj.members()) {
+    size_t i = 0;
+    while (i < knobs.size() && knobs[i].name != key) ++i;
+    if (i == knobs.size()) {
+      std::string known;
+      for (const Knob<T>& k : knobs) {
+        known += (known.empty() ? "" : ", ") + k.name;
+      }
+      return Err(where + ": unknown key \"" + key + "\" (known: " + known +
+                 ")");
+    }
+    given[i] = &v;  // a repeated key: the last one wins
+  }
+  for (size_t i = 0; i < knobs.size(); ++i) {
+    if (given[i] == nullptr) continue;
+    const std::string key =
+        ctx.empty() ? knobs[i].name : ctx + "." + knobs[i].name;
+    OODB_RETURN_IF_ERROR(knobs[i].parse(*given[i], key, t));
+  }
+  // Gates are checked once the whole section is read, so they do not
+  // depend on key order.
+  for (size_t i = 0; i < knobs.size(); ++i) {
+    const KindGate<T>* gate = knobs[i].gate;
+    if (given[i] == nullptr || gate == nullptr || gate->open(t) ||
+        (gate->opener != nullptr && obj.Find(gate->opener) != nullptr)) {
+      continue;
+    }
+    return Err(where + ": \"" + knobs[i].name + "\" " + gate->why);
+  }
+  return Status::Ok();
+}
+
+template <typename T>
+std::string EmitSection(const T& t, const Knobs<T>& knobs) {
+  JsonObjectWriter o;
+  for (const Knob<T>& k : knobs) {
+    if (!k.emit || (k.gate && !k.gate->open(t)) || (k.when && !k.when(t))) {
+      continue;
+    }
+    const std::string text = k.emit(t);
+    if (text != "[]" && text != "{}") o.AddRaw(k.name, text);
+  }
+  return o.str();
+}
+
+/// A sweep axis of section-shaped levels: a shorthand naming `preset`, or
+/// an array whose entries each override fields of `from`.
+template <typename E, typename DecodeEntry>
+Status DecodeLevels(const JsonValue& v, const std::string& key,
+                    const char* shorthand, std::vector<E> preset,
+                    const E& from, DecodeEntry decode, std::vector<E>& out) {
   if (v.is_string()) {
-    const auto pool = ResolvePool(v, ctx);
-    if (!pool.ok()) return pool.status();
-    from.pool = *pool;
-    return from;
-  }
-  if (!v.is_object()) return TypeErr(ctx, "a pool name or an object");
-  // Dynamic re-clustering knobs only make sense under a DSTC/OPCF policy;
-  // setting one without "dynamic" is an error (same guard as OCB knobs
-  // without "kind": "ocb"), so a typo can't silently leave the cell static.
-  std::string first_dyn_key;
-  for (const auto& [key, value] : v.members()) {
-    const std::string sub = ctx + "." + key;
-    if (key == "pool") {
-      const auto pool = ResolvePool(value, sub);
-      if (!pool.ok()) return pool.status();
-      from.pool = *pool;
-    } else if (key == "io_limit") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.io_limit = *n;
-    } else if (key == "split") {
-      const auto split = ResolveSplit(value, sub);
-      if (!split.ok()) return split.status();
-      from.split = *split;
-    } else if (key == "use_hints") {
-      const auto b = AsBool(value, sub);
-      if (!b.ok()) return b.status();
-      from.use_hints = *b;
-    } else if (key == "hint_kind") {
-      const auto kind = ResolveRelKind(value, sub);
-      if (!kind.ok()) return kind.status();
-      from.hint_kind = *kind;
-    } else if (key == "hint_boost") {
-      const auto boost = AsNumber(value, sub);
-      if (!boost.ok()) return boost.status();
-      from.hint_boost = *boost;
-    } else if (key == "dynamic") {
-      const auto p = ResolveDynamic(value, sub);
-      if (!p.ok()) return p.status();
-      from.dynamic.policy = *p;
-    } else if (key == "dyn_observation_period") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.observation_period = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_heat_decay") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.dynamic.heat_decay = *r;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_max_tracked_objects") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_tracked_objects = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_max_tracked_links") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_tracked_links = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_trigger_threshold") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.dynamic.trigger_threshold = *r;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_unit_size") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_unit_size = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "dyn_max_moves") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.max_moves_per_txn = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "opcf_watermark") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.dynamic.opcf_queue_watermark = *r;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else if (key == "opcf_batch") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.dynamic.opcf_batch = *n;
-      if (first_dyn_key.empty()) first_dyn_key = key;
-    } else {
-      return Err(ctx + ": unknown key \"" + key +
-                 "\" (known: pool, io_limit, split, use_hints, hint_kind, "
-                 "hint_boost, dynamic, dyn_observation_period, "
-                 "dyn_heat_decay, dyn_max_tracked_objects, "
-                 "dyn_max_tracked_links, dyn_trigger_threshold, "
-                 "dyn_unit_size, dyn_max_moves, opcf_watermark, opcf_batch)");
+    if (v.string_value() != shorthand) {
+      return Err("\"" + key + "\": unknown shorthand \"" + v.string_value() +
+                 "\"; known: " + shorthand);
     }
+    out = std::move(preset);
+    return Status::Ok();
   }
-  if (!first_dyn_key.empty() && !from.dynamic.enabled()) {
-    return Err(ctx + ": \"" + first_dyn_key +
-               "\" is a dynamic re-clustering knob; add \"dynamic\": "
-               "\"DSTC\" or \"OPCF\" to enable the policy");
+  if (!v.is_array()) {
+    return TypeErr(key, std::string("\"") + shorthand + "\" or an array");
   }
-  return from;
+  out.assign(v.items().size(), from);
+  for (size_t i = 0; i < out.size(); ++i) {
+    OODB_RETURN_IF_ERROR(
+        decode(v.items()[i], key + "[" + std::to_string(i) + "]", out[i]));
+  }
+  return Status::Ok();
 }
 
-/// A workload entry: an object overriding density / rw_ratio of `from`,
-/// plus the OCB section — `"kind": "ocb"` selects the generic benchmark
-/// and unlocks its knobs (setting an OCB knob without the kind is an
-/// error, so a typo can't silently leave the cell on the engineering
-/// workload).
-StatusOr<WorkloadEntry> ParseWorkloadEntry(const JsonValue& v,
-                                           WorkloadEntry from,
-                                           const std::string& ctx) {
-  if (!v.is_object()) return TypeErr(ctx, "an object");
-  std::string kind;
-  std::string first_ocb_key;
-  for (const auto& [key, value] : v.members()) {
-    const std::string sub = ctx + "." + key;
-    if (key == "kind") {
-      const auto s = AsString(value, sub);
-      if (!s.ok()) return s.status();
-      if (*s != "oct" && *s != "ocb") {
-        return Err("\"" + sub + "\": unknown workload kind \"" + *s +
-                   "\"; known: oct, ocb");
-      }
-      kind = *s;
-    } else if (key == "density") {
-      const auto d = ResolveDensity(value, sub);
-      if (!d.ok()) return d.status();
-      from.oct.density = *d;
-    } else if (key == "rw_ratio") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.oct.read_write_ratio = *r;
-    } else if (key == "classes") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.classes = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "hierarchy_depth") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.hierarchy_depth = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "instances") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.instances = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "refs_per_object") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.refs_per_object = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "locality") {
-      const auto l = ResolveOcbLocality(value, sub);
-      if (!l.ok()) return l.status();
-      from.ocb.locality = *l;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "zipf_theta") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.zipf_theta = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "gaussian_window") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.gaussian_window = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "base_object_bytes") {
-      const auto n = AsUint(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.base_object_bytes = static_cast<uint32_t>(*n);
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "inheritance_fraction") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.inheritance_fraction = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "interleaved_read_probability") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.interleaved_read_probability = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "partitions") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.partitions = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "set_lookup_size") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.set_lookup_size = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "traversal_depth") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.traversal_depth = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "read_mix") {
-      if (!value.is_array() || value.items().size() != from.ocb.read_mix.size()) {
-        return TypeErr(sub, "an array of 4 numbers (set lookup, simple, "
-                            "hierarchy, stochastic)");
-      }
-      for (size_t i = 0; i < from.ocb.read_mix.size(); ++i) {
-        const auto r =
-            AsNumber(value.items()[i], sub + "[" + std::to_string(i) + "]");
-        if (!r.ok()) return r.status();
-        from.ocb.read_mix[i] = *r;
-      }
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "churn_probability") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.churn_probability = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "churn_burst_length") {
-      const auto n = AsInt(value, sub);
-      if (!n.ok()) return n.status();
-      from.ocb.churn_burst_length = *n;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else if (key == "churn_cross_partition") {
-      const auto r = AsNumber(value, sub);
-      if (!r.ok()) return r.status();
-      from.ocb.churn_cross_partition = *r;
-      if (first_ocb_key.empty()) first_ocb_key = key;
-    } else {
-      return Err(ctx + ": unknown key \"" + key +
-                 "\" (known: kind, density, rw_ratio, classes, "
-                 "hierarchy_depth, instances, refs_per_object, locality, "
-                 "zipf_theta, gaussian_window, base_object_bytes, "
-                 "inheritance_fraction, interleaved_read_probability, "
-                 "partitions, set_lookup_size, traversal_depth, read_mix, "
-                 "churn_probability, churn_burst_length, "
-                 "churn_cross_partition)");
-    }
-  }
-  if (kind == "ocb") {
-    from.ocb.enabled = true;
-  } else if (kind == "oct") {
-    from.ocb.enabled = false;
-  } else if (!first_ocb_key.empty() && !from.ocb.enabled) {
-    return Err(ctx + ": \"" + first_ocb_key +
-               "\" is an OCB knob; add \"kind\": \"ocb\" to select the OCB "
-               "workload");
-  }
-  return from;
+template <typename E>
+std::string EncodeLevels(const std::vector<E>& levels, const Knobs<E>& knobs) {
+  JsonArrayWriter items;
+  for (const E& level : levels) items.AddRaw(EmitSection(level, knobs));
+  return items.str();
 }
 
-StatusOr<size_t> ResolveBufferLevel(const ModelConfig& cfg,
-                                    const std::string& level,
-                                    const std::string& ctx) {
+StatusOr<size_t> BufferLevel(const ModelConfig& cfg, const std::string& level,
+                             const std::string& key) {
   if (level == "small") return cfg.BufferSmall();
   if (level == "medium") return cfg.BufferMedium();
   if (level == "large") return cfg.BufferLarge();
-  return Err("\"" + ctx + "\": unknown buffer level \"" + level +
+  return Err("\"" + key + "\": unknown buffer level \"" + level +
              "\"; known: small, medium, large");
 }
 
-Status ParseConfigSection(const JsonValue& obj, ModelConfig& cfg) {
-  if (!obj.is_object()) return TypeErr("config", "an object");
-  std::string buffer_level;
-  bool buffer_pages_set = false;
-  bool span_exemplars_set = false;
-  // Sharding knobs only make sense with an explicit shard count; setting
-  // one without "shards" is an error (same guard as OCB knobs without
-  // "kind" and dyn knobs without "dynamic"), so a typo can't silently
-  // leave the cell on the single-server core.
-  bool shards_set = false;
-  std::string first_shard_key;
-  // The open-arrival rate only makes sense with "arrival": "Open" (the
-  // closed loop has no arrival rate), same gate as the knobs above.
-  bool arrival_rate_set = false;
-  for (const auto& [key, v] : obj.members()) {
-    const std::string ctx = "config." + key;
-    if (key == "database_bytes") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.database_bytes = *n;
-    } else if (key == "page_size_bytes") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.page_size_bytes = static_cast<uint32_t>(*n);
-    } else if (key == "append_fill_fraction") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.append_fill_fraction = *n;
-    } else if (key == "num_users") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.num_users = *n;
-    } else if (key == "num_disks") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.num_disks = *n;
-    } else if (key == "think_time_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.think_time_s = *n;
-    } else if (key == "buffer_pages") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.buffer_pages = static_cast<size_t>(*n);
-      buffer_pages_set = true;
-    } else if (key == "buffer_level") {
-      const auto s = AsString(v, ctx);
-      OODB_RETURN_IF_ERROR(s.status());
-      buffer_level = *s;
-    } else if (key == "replacement") {
-      const auto p = ResolveReplacement(v, ctx);
-      OODB_RETURN_IF_ERROR(p.status());
-      cfg.replacement = *p;
-    } else if (key == "prefetch") {
-      const auto p = ResolvePrefetch(v, ctx);
-      OODB_RETURN_IF_ERROR(p.status());
-      cfg.prefetch = *p;
-    } else if (key == "warmup_transactions") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.warmup_transactions = *n;
-    } else if (key == "measured_transactions") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.measured_transactions = *n;
-    } else if (key == "measurement_epochs") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.measurement_epochs = *n;
-    } else if (key == "telemetry_interval_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.telemetry_interval_s = *n;
-    } else if (key == "telemetry_audit_placement") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cfg.telemetry_audit_placement = *b;
-    } else if (key == "rw_ratio_schedule") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of numbers");
-      cfg.rw_ratio_schedule.clear();
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto n =
-            AsNumber(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(n.status());
-        cfg.rw_ratio_schedule.push_back(*n);
-      }
-    } else if (key == "static_reorganize_after_build") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cfg.static_reorganize_after_build = *b;
-    } else if (key == "profile_spans") {
-      const auto b = AsBool(v, ctx);
-      OODB_RETURN_IF_ERROR(b.status());
-      cfg.profile_spans = *b;
-    } else if (key == "span_exemplars") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.span_exemplars = *n;
-      span_exemplars_set = true;
-    } else if (key == "shards") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.shards = *n;
-      shards_set = true;
-    } else if (key == "shard_placement") {
-      const auto p = ResolveShardPlacement(v, ctx);
-      OODB_RETURN_IF_ERROR(p.status());
-      cfg.shard_placement = *p;
-      if (first_shard_key.empty()) first_shard_key = key;
-    } else if (key == "shard_hop_latency_s") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.shard_hop_latency_s = *n;
-      if (first_shard_key.empty()) first_shard_key = key;
-    } else if (key == "shard_group_cap") {
-      const auto n = AsInt(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.shard_group_cap = *n;
-      if (first_shard_key.empty()) first_shard_key = key;
-    } else if (key == "seed") {
-      const auto n = AsUint(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.seed = *n;
-    } else if (key == "workload") {
-      auto w = ParseWorkloadEntry(v, WorkloadEntry{cfg.workload, cfg.ocb},
-                                  ctx);
-      OODB_RETURN_IF_ERROR(w.status());
-      cfg.workload = w->oct;
-      cfg.ocb = w->ocb;
-    } else if (key == "clustering") {
-      auto c = ParseClusterEntry(v, cfg.clustering, ctx);
-      OODB_RETURN_IF_ERROR(c.status());
-      cfg.clustering = *c;
-    } else if (key == "concurrency") {
-      OODB_RETURN_IF_ERROR(ParseConcurrencySection(v, cfg.cc));
-    } else if (key == "arrival") {
-      const auto a = ResolveArrival(v, ctx);
-      OODB_RETURN_IF_ERROR(a.status());
-      cfg.arrival = *a;
-    } else if (key == "arrival_rate_tps") {
-      const auto n = AsNumber(v, ctx);
-      OODB_RETURN_IF_ERROR(n.status());
-      cfg.arrival_rate_tps = *n;
-      arrival_rate_set = true;
-    } else {
-      return Err("config: unknown key \"" + key + "\"");
-    }
-  }
-  // The builder's target tracks the configured database size, and the
-  // generated graph's density tracks the workload (WithWorkload semantics).
-  cfg.database.target_bytes = cfg.database_bytes;
-  cfg.database.density = cfg.workload.density;
-  if (!buffer_level.empty()) {
-    if (buffer_pages_set) {
-      return Err(
-          "config: set either \"buffer_pages\" or \"buffer_level\", not "
-          "both");
-    }
-    const auto pages =
-        ResolveBufferLevel(cfg, buffer_level, "config.buffer_level");
-    OODB_RETURN_IF_ERROR(pages.status());
-    cfg.buffer_pages = *pages;
-  }
-  // Checked after the loop: JSON key order is arbitrary, so the gate must
-  // not depend on which of the two keys parses first.
-  if (span_exemplars_set && !cfg.profile_spans) {
-    return Err(
-        "config: \"span_exemplars\" has no effect without "
-        "\"profile_spans\": true");
-  }
-  if (!first_shard_key.empty() && !shards_set) {
-    return Err("config: \"" + first_shard_key +
-               "\" is a sharding knob; add \"shards\": <N> to enable the "
-               "N-shard core");
-  }
-  if (arrival_rate_set && cfg.arrival != ArrivalProcess::kOpen) {
-    return Err(
-        "config: \"arrival_rate_tps\" has no effect without \"arrival\": "
-        "\"Open\"");
-  }
-  return Status::Ok();
+// ------------------------------------------------------------------ tables
+//
+// One table per section, one row per knob, rows in ToJson order. Adding a
+// knob takes its config field, its range in that config's Validate(), and
+// one row here.
+
+bool CcOn(const cc::CcConfig& c) { return c.enabled; }
+const KindGate<cc::CcConfig> kCcGate{
+    CcOn,
+    "is a concurrency-control knob; add \"enabled\": true to switch the "
+    "lock manager on"};
+
+/// The concurrency-control section of the config (DESIGN.md §16).
+const Knobs<cc::CcConfig>& CcKnobs() {
+  using C = cc::CcConfig;
+  static const Knobs<C> knobs = {
+      Field("enabled", &C::enabled),
+      Field("cc_lock_timeout_s", &C::lock_timeout_s).Under(kCcGate),
+      Field("cc_max_retries", &C::max_retries).Under(kCcGate),
+      Field("cc_backoff_base_s", &C::backoff_base_s).Under(kCcGate),
+      Field("cc_backoff_cap_s", &C::backoff_cap_s).Under(kCcGate),
+      Field("cc_page_latches", &C::page_latches).Under(kCcGate),
+  };
+  return knobs;
 }
 
-Status ParseSweepSection(const JsonValue& obj, ScenarioSpec& spec) {
-  if (!obj.is_object()) return TypeErr("sweep", "an object");
-  for (const auto& [key, v] : obj.members()) {
-    const std::string ctx = "sweep." + key;
-    if (key == "clustering") {
-      if (v.is_string()) {
-        if (v.string_value() != "figure5_1") {
-          return Err("\"" + ctx + "\": unknown shorthand \"" +
-                     v.string_value() + "\"; known: figure5_1");
-        }
-        spec.clustering = ClusteringPolicyLevels(spec.base.clustering.split);
-      } else if (v.is_array()) {
-        for (size_t i = 0; i < v.items().size(); ++i) {
-          auto c = ParseClusterEntry(v.items()[i], spec.base.clustering,
-                                     ctx + "[" + std::to_string(i) + "]");
-          OODB_RETURN_IF_ERROR(c.status());
-          spec.clustering.push_back(*c);
-        }
-      } else {
-        return TypeErr(ctx, "\"figure5_1\" or an array");
-      }
-    } else if (key == "workload") {
-      if (v.is_string()) {
-        if (v.string_value() != "standard_grid") {
-          return Err("\"" + ctx + "\": unknown shorthand \"" +
-                     v.string_value() + "\"; known: standard_grid");
-        }
-        for (const workload::WorkloadConfig& w : StandardWorkloadGrid()) {
-          spec.workloads.push_back(WorkloadEntry{w, spec.base.ocb});
-        }
-      } else if (v.is_array()) {
-        for (size_t i = 0; i < v.items().size(); ++i) {
-          auto w = ParseWorkloadEntry(
-              v.items()[i], WorkloadEntry{spec.base.workload, spec.base.ocb},
-              ctx + "[" + std::to_string(i) + "]");
-          OODB_RETURN_IF_ERROR(w.status());
-          spec.workloads.push_back(*w);
-        }
-      } else {
-        return TypeErr(ctx, "\"standard_grid\" or an array");
-      }
-    } else if (key == "replacement") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of policy names");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto p = ResolveReplacement(
-            v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(p.status());
-        spec.replacement.push_back(*p);
-      }
-    } else if (key == "prefetch") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of policy names");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto p =
-            ResolvePrefetch(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(p.status());
-        spec.prefetch.push_back(*p);
-      }
-    } else if (key == "buffer_pages") {
-      if (!v.is_array()) {
-        return TypeErr(ctx, "an array of page counts or level names");
-      }
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const JsonValue& item = v.items()[i];
-        const std::string sub = ctx + "[" + std::to_string(i) + "]";
-        size_t pages = 0;
-        if (item.is_string()) {
-          const auto resolved =
-              ResolveBufferLevel(spec.base, item.string_value(), sub);
-          OODB_RETURN_IF_ERROR(resolved.status());
-          pages = *resolved;
-        } else {
-          const auto n = AsUint(item, sub);
-          OODB_RETURN_IF_ERROR(n.status());
-          pages = static_cast<size_t>(*n);
-        }
-        if (pages < 8) {
-          return Err("\"" + sub + "\" is " + std::to_string(pages) +
-                     "; the pool needs at least 8 frames");
-        }
-        spec.buffer_pages.push_back(pages);
-      }
-    } else if (key == "shards") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of shard counts");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto n =
-            AsInt(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(n.status());
-        if (*n < 1 || *n > 64) {
-          return Err("\"" + ctx + "[" + std::to_string(i) + "]\" is " +
-                     std::to_string(*n) +
-                     "; the core supports 1 to 64 shards");
-        }
-        spec.shards.push_back(*n);
-      }
-    } else if (key == "shard_placement") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of placement names");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto p = ResolveShardPlacement(
-            v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(p.status());
-        spec.shard_placement.push_back(*p);
-      }
-    } else if (key == "users") {
-      if (!v.is_array()) return TypeErr(ctx, "an array of user counts");
-      for (size_t i = 0; i < v.items().size(); ++i) {
-        const auto n =
-            AsInt(v.items()[i], ctx + "[" + std::to_string(i) + "]");
-        OODB_RETURN_IF_ERROR(n.status());
-        if (*n < 1) {
-          return Err("\"" + ctx + "[" + std::to_string(i) + "]\" is " +
-                     std::to_string(*n) + "; need at least 1 user");
-        }
-        spec.users.push_back(*n);
-      }
-    } else {
-      return Err("sweep: unknown key \"" + key +
-                 "\" (known: clustering, workload, replacement, prefetch, "
-                 "buffer_pages, shards, shard_placement, users)");
-    }
-  }
-  return Status::Ok();
+bool DynOn(const cluster::ClusterConfig& c) { return c.dynamic.enabled(); }
+const KindGate<cluster::ClusterConfig> kDynGate{
+    DynOn,
+    "is a dynamic re-clustering knob; add \"dynamic\": \"DSTC\" or "
+    "\"OPCF\" to enable the policy"};
+
+/// A clustering entry of the config or of the clustering sweep axis.
+const Knobs<cluster::ClusterConfig>& ClusterKnobs() {
+  using C = cluster::ClusterConfig;
+  using D = dyn::DynConfig;
+  static const Knobs<C> knobs = {
+      Policy("pool", PolicyAxis::kCandidatePool, &C::pool),
+      Field("io_limit", &C::io_limit),
+      Policy("split", PolicyAxis::kSplit, &C::split),
+      Field("use_hints", &C::use_hints),
+      Policy("hint_kind", PolicyAxis::kRelKind, &C::hint_kind),
+      Field("hint_boost", &C::hint_boost),
+      Policy("dynamic", PolicyAxis::kDynamic, &C::dynamic, &D::policy),
+      Field("dyn_observation_period", &C::dynamic, &D::observation_period)
+          .Under(kDynGate),
+      Field("dyn_heat_decay", &C::dynamic, &D::heat_decay).Under(kDynGate),
+      Field("dyn_max_tracked_objects", &C::dynamic, &D::max_tracked_objects)
+          .Under(kDynGate),
+      Field("dyn_max_tracked_links", &C::dynamic, &D::max_tracked_links)
+          .Under(kDynGate),
+      Field("dyn_trigger_threshold", &C::dynamic, &D::trigger_threshold)
+          .Under(kDynGate),
+      Field("dyn_unit_size", &C::dynamic, &D::max_unit_size).Under(kDynGate),
+      Field("dyn_max_moves", &C::dynamic, &D::max_moves_per_txn)
+          .Under(kDynGate),
+      Field("opcf_watermark", &C::dynamic, &D::opcf_queue_watermark)
+          .Under(kDynGate),
+      Field("opcf_batch", &C::dynamic, &D::opcf_batch).Under(kDynGate),
+  };
+  return knobs;
 }
 
-std::string ClusterJson(const cluster::ClusterConfig& c) {
-  JsonObjectWriter o;
-  o.Add("pool", cluster::CandidatePoolName(c.pool));
-  o.Add("io_limit", c.io_limit);
-  o.Add("split", cluster::SplitPolicyName(c.split));
-  o.Add("use_hints", c.use_hints);
-  o.Add("hint_kind", obj::RelKindName(c.hint_kind));
-  o.Add("hint_boost", c.hint_boost);
-  o.Add("dynamic", dyn::PolicyKindName(c.dynamic.policy));
-  if (c.dynamic.enabled()) {
-    o.Add("dyn_observation_period", c.dynamic.observation_period);
-    o.Add("dyn_heat_decay", c.dynamic.heat_decay);
-    o.Add("dyn_max_tracked_objects", c.dynamic.max_tracked_objects);
-    o.Add("dyn_max_tracked_links", c.dynamic.max_tracked_links);
-    o.Add("dyn_trigger_threshold", c.dynamic.trigger_threshold);
-    o.Add("dyn_unit_size", c.dynamic.max_unit_size);
-    o.Add("dyn_max_moves", c.dynamic.max_moves_per_txn);
-    o.Add("opcf_watermark", c.dynamic.opcf_queue_watermark);
-    o.Add("opcf_batch", c.dynamic.opcf_batch);
-  }
-  return o.str();
+/// A clustering entry: a bare pool name, or an object overriding fields of
+/// `c` (so a split policy set in the config carries into sweep levels).
+Status DecodeCluster(const JsonValue& v, const std::string& key,
+                     cluster::ClusterConfig& c) {
+  if (v.is_string()) return Decode(v, key, c.pool, PolicyAxis::kCandidatePool);
+  if (!v.is_object()) return TypeErr(key, "a pool name or an object");
+  return ParseSection(v, key, ClusterKnobs(), c);
 }
 
-std::string WorkloadJson(const WorkloadEntry& w) {
-  JsonObjectWriter o;
-  if (w.ocb.enabled) {
-    o.Add("kind", "ocb");
-    o.Add("rw_ratio", w.oct.read_write_ratio);
-    o.Add("classes", w.ocb.classes);
-    o.Add("hierarchy_depth", w.ocb.hierarchy_depth);
-    o.Add("instances", w.ocb.instances);
-    o.Add("refs_per_object", w.ocb.refs_per_object);
-    o.Add("locality", ocb::RefLocalityName(w.ocb.locality));
-    o.Add("zipf_theta", w.ocb.zipf_theta);
-    o.Add("gaussian_window", w.ocb.gaussian_window);
-    o.Add("base_object_bytes", static_cast<uint64_t>(w.ocb.base_object_bytes));
-    o.Add("inheritance_fraction", w.ocb.inheritance_fraction);
-    o.Add("interleaved_read_probability",
-          w.ocb.interleaved_read_probability);
-    o.Add("partitions", w.ocb.partitions);
-    o.Add("set_lookup_size", w.ocb.set_lookup_size);
-    o.Add("traversal_depth", w.ocb.traversal_depth);
-    JsonArrayWriter mix;
-    for (const double m : w.ocb.read_mix) mix.Add(m);
-    o.AddRaw("read_mix", mix.str());
-    if (w.ocb.churn_enabled()) {
-      o.Add("churn_probability", w.ocb.churn_probability);
-      o.Add("churn_burst_length", w.ocb.churn_burst_length);
-      o.Add("churn_cross_partition", w.ocb.churn_cross_partition);
-    }
-  } else {
-    o.Add("density", workload::StructureDensityName(w.oct.density));
-    o.Add("rw_ratio", w.oct.read_write_ratio);
-  }
-  return o.str();
+bool OcbOn(const WorkloadEntry& w) { return w.ocb.enabled; }
+bool OctOn(const WorkloadEntry& w) { return !w.ocb.enabled; }
+bool ChurnOn(const WorkloadEntry& w) { return w.ocb.churn_enabled(); }
+const KindGate<WorkloadEntry> kOcbGate{
+    OcbOn,
+    "is an OCB knob; add \"kind\": \"ocb\" to select the OCB workload"};
+
+/// A workload entry: the engineering workload's density and R/W ratio, or
+/// the generic OCB workload (src/ocb/), which its kind selects.
+const Knobs<WorkloadEntry>& WorkloadKnobs() {
+  using W = WorkloadEntry;
+  using O = ocb::OcbConfig;
+  using Oct = workload::WorkloadConfig;
+  static const Knobs<W> knobs = {
+      // Only OCB writes its kind, so OCT entries serialize as they did
+      // before OCB existed.
+      Knob<W>{"kind",
+              [](const JsonValue& v, const std::string& key, W& w) {
+                std::string kind;
+                OODB_RETURN_IF_ERROR(Decode(v, key, kind));
+                if (kind != "oct" && kind != "ocb") {
+                  return Err("\"" + key + "\": unknown workload kind \"" +
+                             kind + "\"; known: oct, ocb");
+                }
+                w.ocb.enabled = kind == "ocb";
+                return Status::Ok();
+              },
+              [](const W&) { return Quote("ocb"); }}
+          .When(OcbOn),
+      Policy("density", PolicyAxis::kDensity, &W::oct, &Oct::density)
+          .When(OctOn),
+      Field("rw_ratio", &W::oct, &Oct::read_write_ratio),
+      Field("classes", &W::ocb, &O::classes).Under(kOcbGate),
+      Field("hierarchy_depth", &W::ocb, &O::hierarchy_depth).Under(kOcbGate),
+      Field("instances", &W::ocb, &O::instances).Under(kOcbGate),
+      Field("refs_per_object", &W::ocb, &O::refs_per_object).Under(kOcbGate),
+      Policy("locality", PolicyAxis::kOcbLocality, &W::ocb, &O::locality)
+          .Under(kOcbGate),
+      Field("zipf_theta", &W::ocb, &O::zipf_theta).Under(kOcbGate),
+      Field("gaussian_window", &W::ocb, &O::gaussian_window).Under(kOcbGate),
+      Field("base_object_bytes", &W::ocb, &O::base_object_bytes)
+          .Under(kOcbGate),
+      Field("inheritance_fraction", &W::ocb, &O::inheritance_fraction)
+          .Under(kOcbGate),
+      Field("interleaved_read_probability", &W::ocb,
+            &O::interleaved_read_probability)
+          .Under(kOcbGate),
+      Field("partitions", &W::ocb, &O::partitions).Under(kOcbGate),
+      Field("set_lookup_size", &W::ocb, &O::set_lookup_size).Under(kOcbGate),
+      Field("traversal_depth", &W::ocb, &O::traversal_depth).Under(kOcbGate),
+      Field("read_mix", &W::ocb, &O::read_mix).Under(kOcbGate),
+      Field("churn_probability", &W::ocb, &O::churn_probability)
+          .Under(kOcbGate)
+          .When(ChurnOn),
+      Field("churn_burst_length", &W::ocb, &O::churn_burst_length)
+          .Under(kOcbGate)
+          .When(ChurnOn),
+      Field("churn_cross_partition", &W::ocb, &O::churn_cross_partition)
+          .Under(kOcbGate)
+          .When(ChurnOn),
+  };
+  return knobs;
+}
+
+Status DecodeWorkload(const JsonValue& v, const std::string& key,
+                      WorkloadEntry& w) {
+  return ParseSection(v, key, WorkloadKnobs(), w);
+}
+
+bool SpansOn(const ModelConfig& c) { return c.profile_spans; }
+bool Sharded(const ModelConfig& c) { return c.shards != 1; }
+bool OpenArrivals(const ModelConfig& c) {
+  return c.arrival == ArrivalProcess::kOpen;
+}
+bool CcEnabled(const ModelConfig& c) { return c.cc.enabled; }
+const KindGate<ModelConfig> kSpanGate{
+    SpansOn, "has no effect without \"profile_spans\": true"};
+const KindGate<ModelConfig> kShardGate{
+    Sharded,
+    "is a sharding knob; add \"shards\": <N> to enable the N-shard core",
+    "shards"};
+const KindGate<ModelConfig> kArrivalGate{
+    OpenArrivals, "has no effect without \"arrival\": \"Open\""};
+
+/// The config section: overrides on ScaledConfig().
+const Knobs<ModelConfig>& ConfigKnobs() {
+  using M = ModelConfig;
+  static const Knobs<M> knobs = {
+      Field("database_bytes", &M::database_bytes),
+      Field("page_size_bytes", &M::page_size_bytes),
+      Field("append_fill_fraction", &M::append_fill_fraction),
+      Field("num_users", &M::num_users),
+      Field("num_disks", &M::num_disks),
+      Field("think_time_s", &M::think_time_s),
+      Field("buffer_pages", &M::buffer_pages),
+      // Parse-only: a level resolved against the database and page sizes
+      // above; ToJson writes the resolved page count instead.
+      Knob<M>{"buffer_level",
+              [](const JsonValue& v, const std::string& key, M& c) {
+                std::string level;
+                OODB_RETURN_IF_ERROR(Decode(v, key, level));
+                const auto pages = BufferLevel(c, level, key);
+                OODB_RETURN_IF_ERROR(pages.status());
+                c.buffer_pages = *pages;
+                return Status::Ok();
+              },
+              nullptr},
+      Policy("replacement", PolicyAxis::kReplacement, &M::replacement),
+      Policy("prefetch", PolicyAxis::kPrefetch, &M::prefetch),
+      Field("warmup_transactions", &M::warmup_transactions),
+      Field("measured_transactions", &M::measured_transactions),
+      Field("measurement_epochs", &M::measurement_epochs),
+      Field("telemetry_interval_s", &M::telemetry_interval_s),
+      Field("telemetry_audit_placement", &M::telemetry_audit_placement),
+      Field("rw_ratio_schedule", &M::rw_ratio_schedule),
+      Field("static_reorganize_after_build",
+            &M::static_reorganize_after_build),
+      Field("profile_spans", &M::profile_spans),
+      Field("span_exemplars", &M::span_exemplars).Under(kSpanGate),
+      Field("shards", &M::shards).When(Sharded),
+      Policy("shard_placement", PolicyAxis::kShardPlacement,
+             &M::shard_placement)
+          .Under(kShardGate),
+      Field("shard_hop_latency_s", &M::shard_hop_latency_s)
+          .Under(kShardGate),
+      Field("shard_group_cap", &M::shard_group_cap).Under(kShardGate),
+      Knob<M>{"concurrency",
+              [](const JsonValue& v, const std::string& key, M& c) {
+                return ParseSection(v, key, CcKnobs(), c.cc);
+              },
+              [](const M& c) { return EmitSection(c.cc, CcKnobs()); }}
+          .When(CcEnabled),
+      Policy("arrival", PolicyAxis::kArrival, &M::arrival).When(OpenArrivals),
+      Field("arrival_rate_tps", &M::arrival_rate_tps).Under(kArrivalGate),
+      Field("seed", &M::seed),
+      Knob<M>{"workload",
+              [](const JsonValue& v, const std::string& key, M& c) {
+                WorkloadEntry w{c.workload, c.ocb};
+                OODB_RETURN_IF_ERROR(DecodeWorkload(v, key, w));
+                c.workload = w.oct;
+                c.ocb = w.ocb;
+                return Status::Ok();
+              },
+              [](const M& c) {
+                return EmitSection(WorkloadEntry{c.workload, c.ocb},
+                                   WorkloadKnobs());
+              }},
+      Knob<M>{"clustering",
+              [](const JsonValue& v, const std::string& key, M& c) {
+                return DecodeCluster(v, key, c.clustering);
+              },
+              [](const M& c) {
+                return EmitSection(c.clustering, ClusterKnobs());
+              }},
+  };
+  return knobs;
+}
+
+bool PlacementSwept(const ScenarioSpec& s) {
+  return !s.shards.empty() || s.base.shards != 1;
+}
+const KindGate<ScenarioSpec> kPlacementAxisGate{
+    PlacementSwept,
+    "is inert: every cell has shards = 1, where placement has no effect; "
+    "add a \"shards\" sweep axis or \"shards\" to config"};
+
+/// The sweep section: one row per axis; an absent axis keeps the base
+/// config's value.
+const Knobs<ScenarioSpec>& SweepKnobs() {
+  using S = ScenarioSpec;
+  static const Knobs<S> knobs = {
+      Knob<S>{"clustering",
+              [](const JsonValue& v, const std::string& key, S& s) {
+                return DecodeLevels(
+                    v, key, "figure5_1",
+                    ClusteringPolicyLevels(s.base.clustering.split),
+                    s.base.clustering, DecodeCluster, s.clustering);
+              },
+              [](const S& s) {
+                return EncodeLevels(s.clustering, ClusterKnobs());
+              }},
+      Knob<S>{"workload",
+              [](const JsonValue& v, const std::string& key, S& s) {
+                std::vector<WorkloadEntry> grid;
+                for (const workload::WorkloadConfig& w :
+                     StandardWorkloadGrid()) {
+                  grid.push_back(WorkloadEntry{w, s.base.ocb});
+                }
+                return DecodeLevels(v, key, "standard_grid", std::move(grid),
+                                    WorkloadEntry{s.base.workload, s.base.ocb},
+                                    DecodeWorkload, s.workloads);
+              },
+              [](const S& s) {
+                return EncodeLevels(s.workloads, WorkloadKnobs());
+              }},
+      Policy("replacement", PolicyAxis::kReplacement, &S::replacement),
+      Policy("prefetch", PolicyAxis::kPrefetch, &S::prefetch),
+      // Page counts or buffer level names, resolved against the base.
+      Knob<S>{"buffer_pages",
+              [](const JsonValue& v, const std::string& key, S& s) {
+                if (!v.is_array()) {
+                  return TypeErr(key, "an array of page counts or level names");
+                }
+                s.buffer_pages.resize(v.items().size());
+                for (size_t i = 0; i < s.buffer_pages.size(); ++i) {
+                  const JsonValue& item = v.items()[i];
+                  const std::string sub = key + "[" + std::to_string(i) + "]";
+                  if (!item.is_string()) {
+                    OODB_RETURN_IF_ERROR(Decode(item, sub, s.buffer_pages[i]));
+                    continue;
+                  }
+                  const auto pages =
+                      BufferLevel(s.base, item.string_value(), sub);
+                  OODB_RETURN_IF_ERROR(pages.status());
+                  s.buffer_pages[i] = *pages;
+                }
+                return Status::Ok();
+              },
+              [](const S& s) { return Encode(s.buffer_pages); }},
+      Field("shards", &S::shards),
+      Policy("shard_placement", PolicyAxis::kShardPlacement,
+             &S::shard_placement)
+          .Under(kPlacementAxisGate),
+      Field("users", &S::users),
+  };
+  return knobs;
+}
+
+bool HasDescription(const ScenarioSpec& s) { return !s.description.empty(); }
+
+/// The document: labels, the base config and the sweep axes. The config
+/// row precedes the sweep row because sweep shorthands and buffer levels
+/// derive from the base config.
+const Knobs<ScenarioSpec>& ScenarioKnobs() {
+  using S = ScenarioSpec;
+  static const Knobs<S> knobs = {
+      Field("name", &S::name),
+      Knob<S>{"bench",
+              [](const JsonValue& v, const std::string& key, S& s) {
+                return Decode(v, key, s.bench);
+              },
+              [](const S& s) {
+                return Quote(s.bench.empty() ? s.name : s.bench);
+              }},
+      Field("description", &S::description).When(HasDescription),
+      Knob<S>{"config",
+              [](const JsonValue& v, const std::string& key, S& s) {
+                if (v.is_object() && v.Find("buffer_pages") != nullptr &&
+                    v.Find("buffer_level") != nullptr) {
+                  return Err(
+                      "config: set either \"buffer_pages\" or "
+                      "\"buffer_level\", not both");
+                }
+                OODB_RETURN_IF_ERROR(
+                    ParseSection(v, key, ConfigKnobs(), s.base));
+                // The builder's target tracks the configured database
+                // size, and the generated graph's density tracks the
+                // workload (WithWorkload semantics).
+                s.base.database.target_bytes = s.base.database_bytes;
+                s.base.database.density = s.base.workload.density;
+                return Status::Ok();
+              },
+              [](const S& s) { return EmitSection(s.base, ConfigKnobs()); }},
+      Knob<S>{"sweep",
+              [](const JsonValue& v, const std::string& key, S& s) {
+                return ParseSection(v, key, SweepKnobs(), s);
+              },
+              [](const S& s) { return EmitSection(s, SweepKnobs()); }},
+  };
+  return knobs;
 }
 
 }  // namespace
@@ -927,126 +724,7 @@ std::vector<ScenarioCell> ScenarioSpec::Expand() const {
 }
 
 std::string ScenarioSpec::ToJson() const {
-  JsonObjectWriter root;
-  root.Add("name", name);
-  root.Add("bench", bench.empty() ? name : bench);
-  if (!description.empty()) root.Add("description", description);
-
-  JsonObjectWriter cfg;
-  cfg.Add("database_bytes", static_cast<uint64_t>(base.database_bytes));
-  cfg.Add("page_size_bytes", static_cast<uint64_t>(base.page_size_bytes));
-  cfg.Add("append_fill_fraction", base.append_fill_fraction);
-  cfg.Add("num_users", base.num_users);
-  cfg.Add("num_disks", base.num_disks);
-  cfg.Add("think_time_s", base.think_time_s);
-  cfg.Add("buffer_pages", static_cast<uint64_t>(base.buffer_pages));
-  cfg.Add("replacement", buffer::ReplacementPolicyName(base.replacement));
-  cfg.Add("prefetch", buffer::PrefetchPolicyName(base.prefetch));
-  cfg.Add("warmup_transactions", base.warmup_transactions);
-  cfg.Add("measured_transactions", base.measured_transactions);
-  cfg.Add("measurement_epochs", base.measurement_epochs);
-  cfg.Add("telemetry_interval_s", base.telemetry_interval_s);
-  cfg.Add("telemetry_audit_placement", base.telemetry_audit_placement);
-  if (!base.rw_ratio_schedule.empty()) {
-    JsonArrayWriter sched;
-    for (const double ratio : base.rw_ratio_schedule) sched.Add(ratio);
-    cfg.AddRaw("rw_ratio_schedule", sched.str());
-  }
-  cfg.Add("static_reorganize_after_build",
-          base.static_reorganize_after_build);
-  cfg.Add("profile_spans", base.profile_spans);
-  // Mirrors the parse-side gate: span_exemplars only round-trips when the
-  // profiler is on.
-  if (base.profile_spans) cfg.Add("span_exemplars", base.span_exemplars);
-  // Same gate for the sharding knobs: emitted only with an explicit shard
-  // count, so single-server scenarios serialize exactly as before.
-  if (base.shards != 1) {
-    cfg.Add("shards", base.shards);
-    cfg.Add("shard_placement", ShardPlacementName(base.shard_placement));
-    cfg.Add("shard_hop_latency_s", base.shard_hop_latency_s);
-    cfg.Add("shard_group_cap", base.shard_group_cap);
-  }
-  // Same gate for concurrency control and the open-arrival source: emitted
-  // only when switched on, so cc-off scenarios serialize exactly as before.
-  if (base.cc.enabled) {
-    JsonObjectWriter cc;
-    cc.Add("enabled", true);
-    cc.Add("cc_lock_timeout_s", base.cc.lock_timeout_s);
-    cc.Add("cc_max_retries", base.cc.max_retries);
-    cc.Add("cc_backoff_base_s", base.cc.backoff_base_s);
-    cc.Add("cc_backoff_cap_s", base.cc.backoff_cap_s);
-    cc.Add("cc_page_latches", base.cc.page_latches);
-    cfg.AddRaw("concurrency", cc.str());
-  }
-  if (base.arrival != ArrivalProcess::kClosed) {
-    cfg.Add("arrival", ArrivalProcessName(base.arrival));
-    cfg.Add("arrival_rate_tps", base.arrival_rate_tps);
-  }
-  cfg.Add("seed", static_cast<uint64_t>(base.seed));
-  cfg.AddRaw("workload", WorkloadJson(WorkloadEntry{base.workload, base.ocb}));
-  cfg.AddRaw("clustering", ClusterJson(base.clustering));
-  root.AddRaw("config", cfg.str());
-
-  JsonObjectWriter sweep;
-  bool any_axis = false;
-  if (!clustering.empty()) {
-    JsonArrayWriter axis;
-    for (const auto& c : clustering) axis.AddRaw(ClusterJson(c));
-    sweep.AddRaw("clustering", axis.str());
-    any_axis = true;
-  }
-  if (!workloads.empty()) {
-    JsonArrayWriter axis;
-    for (const WorkloadEntry& w : workloads) axis.AddRaw(WorkloadJson(w));
-    sweep.AddRaw("workload", axis.str());
-    any_axis = true;
-  }
-  if (!replacement.empty()) {
-    JsonArrayWriter axis;
-    for (const auto p : replacement) {
-      axis.Add(std::string_view(buffer::ReplacementPolicyName(p)));
-    }
-    sweep.AddRaw("replacement", axis.str());
-    any_axis = true;
-  }
-  if (!prefetch.empty()) {
-    JsonArrayWriter axis;
-    for (const auto p : prefetch) {
-      axis.Add(std::string_view(buffer::PrefetchPolicyName(p)));
-    }
-    sweep.AddRaw("prefetch", axis.str());
-    any_axis = true;
-  }
-  if (!buffer_pages.empty()) {
-    JsonArrayWriter axis;
-    for (const size_t pages : buffer_pages) {
-      axis.Add(static_cast<uint64_t>(pages));
-    }
-    sweep.AddRaw("buffer_pages", axis.str());
-    any_axis = true;
-  }
-  if (!shards.empty()) {
-    JsonArrayWriter axis;
-    for (const int n : shards) axis.Add(static_cast<uint64_t>(n));
-    sweep.AddRaw("shards", axis.str());
-    any_axis = true;
-  }
-  if (!shard_placement.empty()) {
-    JsonArrayWriter axis;
-    for (const auto p : shard_placement) {
-      axis.Add(std::string_view(ShardPlacementName(p)));
-    }
-    sweep.AddRaw("shard_placement", axis.str());
-    any_axis = true;
-  }
-  if (!users.empty()) {
-    JsonArrayWriter axis;
-    for (const int n : users) axis.Add(static_cast<uint64_t>(n));
-    sweep.AddRaw("users", axis.str());
-    any_axis = true;
-  }
-  if (any_axis) root.AddRaw("sweep", sweep.str());
-  return root.str();
+  return EmitSection(*this, ScenarioKnobs());
 }
 
 StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
@@ -1056,52 +734,18 @@ StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text) {
 
   ScenarioSpec spec;
   spec.base = ScaledConfig();
-  // "config" first regardless of file order: sweep shorthands and buffer
-  // levels derive from the base configuration.
-  if (const JsonValue* config = doc->Find("config")) {
-    OODB_RETURN_IF_ERROR(ParseConfigSection(*config, spec.base));
-  }
-  for (const auto& [key, v] : doc->members()) {
-    if (key == "config") continue;
-    if (key == "name") {
-      const auto s = AsString(v, "name");
-      OODB_RETURN_IF_ERROR(s.status());
-      spec.name = *s;
-    } else if (key == "bench") {
-      const auto s = AsString(v, "bench");
-      OODB_RETURN_IF_ERROR(s.status());
-      spec.bench = *s;
-    } else if (key == "description") {
-      const auto s = AsString(v, "description");
-      OODB_RETURN_IF_ERROR(s.status());
-      spec.description = *s;
-    } else if (key == "sweep") {
-      OODB_RETURN_IF_ERROR(ParseSweepSection(v, spec));
-    } else {
-      return Err("unknown top-level key \"" + key +
-                 "\" (known: name, bench, description, config, sweep)");
-    }
-  }
+  OODB_RETURN_IF_ERROR(ParseSection(*doc, "", ScenarioKnobs(), spec));
   if (spec.name.empty()) return Err("\"name\" is required");
   if (spec.bench.empty()) spec.bench = spec.name;
 
-  // A placement axis with every cell at shards = 1 would sweep a knob
-  // that cannot matter — reject it like any other inert-knob typo.
-  if (!spec.shard_placement.empty() && spec.shards.empty() &&
-      spec.base.shards == 1) {
-    return Err(
-        "sweep.shard_placement: every cell has shards = 1, where placement "
-        "has no effect; add a \"shards\" sweep axis or \"shards\" to "
-        "config");
-  }
-
   const Status valid = spec.base.Validate();
   if (!valid.ok()) return Err("config: " + valid.message());
-  for (size_t i = 0; i < spec.workloads.size(); ++i) {
-    const Status w = spec.workloads[i].ocb.Validate();
-    if (!w.ok()) {
-      return Err("sweep.workload[" + std::to_string(i) + "]: " +
-                 w.message());
+  // Sweep levels meet in cells the base config never saw (a shards level
+  // with a DSTC clustering level, say), so every cell is checked too.
+  for (const ScenarioCell& cell : spec.Expand()) {
+    const Status cell_valid = cell.config.Validate();
+    if (!cell_valid.ok()) {
+      return Err("cell " + cell.cell_label + ": " + cell_valid.message());
     }
   }
   return spec;

@@ -72,7 +72,14 @@
 ///
 /// Policy names resolve through PolicyRegistry::Global(), so every alias
 /// the registry knows works in a scenario file, and error messages list
-/// the canonical spellings.
+/// the canonical spellings. Integer knobs take exact integer text that
+/// fits the field's type. Every expanded cell must pass
+/// ModelConfig::Validate().
+///
+/// scenario.cc declares each section as one table of knob rows, which
+/// drives parsing, ToJson, the known-key error and the kind gates. Adding
+/// a knob takes three things: the config field, its range in that
+/// config's Validate(), and one table row.
 
 namespace oodb::core {
 
@@ -132,8 +139,9 @@ struct ScenarioSpec {
 };
 
 /// Parses one scenario document. Unknown keys, unresolvable policy names,
-/// and configs failing ModelConfig::Validate() all return InvalidArgument
-/// with an actionable message.
+/// inexact integers, and a base config or expanded cell failing
+/// ModelConfig::Validate() all return InvalidArgument with an actionable
+/// message naming the field or cell.
 StatusOr<ScenarioSpec> ParseScenario(std::string_view json_text);
 
 /// Reads `path` and parses it.

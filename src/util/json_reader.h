@@ -1,8 +1,11 @@
 #ifndef SEMCLUST_UTIL_JSON_READER_H_
 #define SEMCLUST_UTIL_JSON_READER_H_
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -16,7 +19,8 @@
 /// external dependency. Parses one document into an ordered DOM
 /// (object members keep source order, so serialize-parse round trips are
 /// stable). Numbers keep their source text alongside the parsed double,
-/// so 64-bit integers (seeds) survive a round trip exactly.
+/// so 64-bit integers (seeds) survive a round trip exactly. Containers may
+/// nest at most JsonValue::kMaxDepth deep.
 
 namespace oodb {
 
@@ -24,6 +28,10 @@ namespace oodb {
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  /// Deepest container nesting Parse accepts. The parser recurses once per
+  /// level, so an unbounded depth would overflow the stack.
+  static constexpr int kMaxDepth = 256;
 
   /// Parses exactly one JSON document (trailing whitespace allowed,
   /// trailing garbage is an error). Errors carry a byte offset.
@@ -42,10 +50,19 @@ class JsonValue {
   /// The number's source text, e.g. "12345678901234567"; empty for
   /// non-numbers.
   const std::string& number_text() const { return scalar_; }
-  /// Unsigned 64-bit view of a number (parsed from the source text, so
-  /// values above 2^53 are exact).
-  uint64_t uint_value() const;
-  int64_t int_value() const;
+  /// The number as an exact integer of type I, parsed from the source
+  /// text (so values above 2^53 are exact). nullopt for non-numbers, for
+  /// text with a fraction or exponent ("2.5", "1e12"), and for values I
+  /// cannot hold (a negative value into an unsigned type, say).
+  template <std::integral I>
+  std::optional<I> integer_value() const {
+    if (!is_number()) return std::nullopt;
+    I out{};
+    const char* end = scalar_.data() + scalar_.size();
+    const auto [ptr, ec] = std::from_chars(scalar_.data(), end, out);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return out;
+  }
   const std::string& string_value() const;
 
   const std::vector<JsonValue>& items() const { return items_; }

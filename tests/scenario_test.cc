@@ -1,7 +1,10 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 
 #include "core/engineering_db.h"
 #include "core/experiment.h"
@@ -40,8 +43,45 @@ TEST(JsonReaderTest, LargeIntegersSurviveViaSourceText) {
   // 2^53 + 1 is not representable as a double; the uint view must be exact.
   const auto doc = JsonValue::Parse("{\"seed\": 9007199254740993}");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->Find("seed")->uint_value(), 9007199254740993ull);
+  EXPECT_EQ(doc->Find("seed")->integer_value<uint64_t>(), 9007199254740993ull);
   EXPECT_EQ(doc->Find("seed")->number_text(), "9007199254740993");
+}
+
+TEST(JsonReaderTest, IntegerValueIsExactOrAbsent) {
+  const auto doc = JsonValue::Parse(R"([7, -1, 2.5, 1e12, 4294967296, "7"])");
+  ASSERT_TRUE(doc.ok());
+  const std::vector<JsonValue>& v = doc->items();
+  EXPECT_EQ(v[0].integer_value<int>(), 7);
+  EXPECT_EQ(v[1].integer_value<int>(), -1);
+  EXPECT_FALSE(v[1].integer_value<uint64_t>().has_value());  // no wrap
+  EXPECT_FALSE(v[2].integer_value<int>().has_value());       // fraction
+  EXPECT_FALSE(v[3].integer_value<int64_t>().has_value());   // exponent
+  EXPECT_FALSE(v[4].integer_value<uint32_t>().has_value());  // too wide
+  EXPECT_EQ(v[4].integer_value<uint64_t>(), 4294967296ull);
+  EXPECT_FALSE(v[5].integer_value<int>().has_value());  // not a number
+}
+
+TEST(JsonReaderTest, DeepNestingIsAnErrorNotAStackOverflow) {
+  const auto deep = JsonValue::Parse(std::string(100000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("nested deeper than"),
+            std::string::npos)
+      << deep.status().ToString();
+  EXPECT_NE(deep.status().message().find("offset 256"), std::string::npos)
+      << deep.status().ToString();
+
+  const size_t cap = JsonValue::kMaxDepth;
+  EXPECT_TRUE(
+      JsonValue::Parse(std::string(cap, '[') + std::string(cap, ']')).ok());
+  EXPECT_FALSE(
+      JsonValue::Parse(std::string(cap + 1, '[') + std::string(cap + 1, ']'))
+          .ok());
+  // Objects count toward the same depth.
+  std::string objects;
+  for (size_t i = 0; i <= cap; ++i) objects += "{\"a\": ";
+  objects += "1";
+  objects += std::string(cap + 1, '}');
+  EXPECT_FALSE(JsonValue::Parse(objects).ok());
 }
 
 TEST(JsonReaderTest, ErrorsCarryByteOffsets) {
@@ -214,6 +254,26 @@ TEST(ScenarioTest, ParseSerializeRoundTripIsStable) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(json, second->ToJson());
 
+  // Every committed scenario (read in place, never written) serializes to
+  // a document that parses back to the same serialization.
+  size_t files = 0;
+  for (const char* dir : {"/bench/scenarios", "/perfbench/workloads"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(SEMCLUST_SOURCE_DIR) + dir)) {
+      const std::string path = entry.path().string();
+      if (!path.ends_with(".scenario.json")) continue;
+      SCOPED_TRACE(path);
+      ++files;
+      const auto committed = LoadScenarioFile(path);
+      ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+      const std::string text = committed->ToJson();
+      const auto reparsed = ParseScenario(text);
+      ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+      EXPECT_EQ(text, reparsed->ToJson());
+    }
+  }
+  EXPECT_GE(files, 9u);
+
   // Expansion order: replacement (outer) x prefetch x buffers x clustering
   // x workload (inner); multi-level axes prefix the policy label.
   const auto cells = first->Expand();
@@ -274,6 +334,277 @@ TEST(ScenarioTest, ActionableErrors) {
   expect_error(
       R"({"name": "x", "config": {"clustering": {"dynamic": "DBSCAN"}}})",
       "DSTC");
+  // Integers are exact: no exponent, no fraction, no wrap, no narrowing.
+  expect_error(R"({"name": "x", "config": {"measured_transactions": 1e12}})",
+               "config.measured_transactions");
+  expect_error(R"({"name": "x", "config": {"measured_transactions": 2.5}})",
+               "config.measured_transactions");
+  expect_error(R"({"name": "x", "config": {"seed": -1}})", "config.seed");
+  expect_error(R"({"name": "x", "config": {"num_users": 4294967306}})",
+               "config.num_users");
+  expect_error(R"({"name": "x", "config": {"page_size_bytes": 4294971392}})",
+               "config.page_size_bytes");
+  expect_error(
+      R"({"name": "x", "config":
+          {"workload": {"kind": "ocb", "base_object_bytes": 4294967456}}})",
+      "config.workload.base_object_bytes");
+  // Every expanded cell is validated, not just the base: sweep levels can
+  // meet in a cell the base never saw (here 4 shards with DSTC).
+  expect_error(
+      R"({"name": "x", "sweep": {"shards": [1, 4],
+          "clustering": [{"pool": "No_limit", "dynamic": "DSTC"}]}})",
+      "cell 4shard/");
+}
+
+// Renders a parsed value back to JSON text (strings unescaped, which the
+// values here never need), so two documents' values compare.
+std::string Render(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull:
+      return "null";
+    case JsonValue::Kind::kBool:
+      return v.bool_value() ? "true" : "false";
+    case JsonValue::Kind::kNumber:
+      return v.number_text();
+    case JsonValue::Kind::kString:
+      return "\"" + v.string_value() + "\"";
+    case JsonValue::Kind::kArray: {
+      std::string out = "[";
+      for (const JsonValue& item : v.items()) {
+        if (out.size() > 1) out += ",";
+        out += Render(item);
+      }
+      return out + "]";
+    }
+    case JsonValue::Kind::kObject: {
+      std::string out = "{";
+      for (const auto& [key, value] : v.members()) {
+        if (out.size() > 1) out += ",";
+        out += "\"" + key + "\":";
+        out += Render(value);
+      }
+      return out + "}";
+    }
+  }
+  return "";
+}
+
+// Whether `written` carries the value `given` set: numbers by value, objects
+// by the members `given` names (a sweep entry inherits the rest).
+bool SameValue(const JsonValue& given, const JsonValue& written) {
+  if (given.is_number() && written.is_number()) {
+    return given.number_value() == written.number_value();
+  }
+  if (given.is_object() && written.is_object()) {
+    for (const auto& [key, value] : given.members()) {
+      const JsonValue* other = written.Find(key);
+      if (other == nullptr || !SameValue(value, *other)) return false;
+    }
+    return true;
+  }
+  if (given.is_array() && written.is_array()) {
+    if (given.items().size() != written.items().size()) return false;
+    for (size_t i = 0; i < given.items().size(); ++i) {
+      if (!SameValue(given.items()[i], written.items()[i])) return false;
+    }
+    return true;
+  }
+  return Render(given) == Render(written);
+}
+
+// The keys a section's "unknown key" error lists: its table's rows.
+std::vector<std::string> KnownKeys(const std::string& json) {
+  const auto spec = ParseScenario(json);
+  EXPECT_FALSE(spec.ok()) << json;
+  if (spec.ok()) return {};
+  const std::string& message = spec.status().message();
+  const size_t begin = message.find("(known: ");
+  EXPECT_NE(begin, std::string::npos) << message;
+  if (begin == std::string::npos) return {};
+  std::istringstream list(
+      message.substr(begin + 8, message.rfind(')') - begin - 8));
+  std::vector<std::string> keys;
+  for (std::string key; std::getline(list >> std::ws, key, ',');) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+// Each row of every section table set to a non-default in-range value,
+// split over two scenarios because sharding excludes cc and dynamic
+// clustering (policy names are canonical, so they compare as written).
+// ToJson must write back every value set, and ParseScenario(ToJson())
+// must serialize identically, i.e. restore every value. The "gates"
+// documents open the same kind gates and set nothing else; every value
+// set must differ from theirs except the gate openers'. The rows are the
+// keys each section's error lists, so a new row without a value here
+// fails the test. Finally, a config knob that ToJson leaves out at the
+// defaults is gated: set alone, it must be rejected (the openers and the
+// rw_ratio_schedule, left out while empty, excepted).
+TEST(ScenarioTest, EveryKnobRoundTripsAtANonDefaultValue) {
+  const std::vector<std::pair<const char*, const char*>> documents = {
+      {R"json({
+        "name": "every_knob_a", "bench": "Every knob A",
+        "description": "the sharded half",
+        "config": {
+          "database_bytes": 2097152, "page_size_bytes": 8192,
+          "append_fill_fraction": 0.7, "num_users": 12, "num_disks": 6,
+          "think_time_s": 2.5, "buffer_pages": 48, "replacement": "Random",
+          "prefetch": "Prefetch_within_DB", "warmup_transactions": 7,
+          "measured_transactions": 33, "measurement_epochs": 3,
+          "telemetry_interval_s": 0.5, "telemetry_audit_placement": false,
+          "rw_ratio_schedule": [5, 50],
+          "static_reorganize_after_build": true,
+          "profile_spans": true, "span_exemplars": 5,
+          "shards": 2, "shard_placement": "Structure_Shard",
+          "shard_hop_latency_s": 0.004, "shard_group_cap": 16,
+          "arrival": "Open", "arrival_rate_tps": 25,
+          "seed": 9007199254740993,
+          "workload": {"density": "hi10", "rw_ratio": 5},
+          "clustering": {"pool": "With_IO_limit", "io_limit": 3,
+                         "split": "Linear_Split", "use_hints": true,
+                         "hint_kind": "version-history", "hint_boost": 2.5}
+        },
+        "sweep": {
+          "clustering": [{"pool": "No_limit"}],
+          "workload": [{"density": "low3", "rw_ratio": 100}],
+          "replacement": ["LRU"], "prefetch": ["No_prefetch"],
+          "buffer_pages": [64], "shards": [2, 4],
+          "shard_placement": ["Hash_Shard"], "users": [3]
+        }
+      })json",
+       R"json({
+        "name": "gates",
+        "config": {"profile_spans": true, "shards": 2, "arrival": "Open"}
+      })json"},
+      {R"json({
+        "name": "every_knob_b",
+        "config": {
+          "concurrency": {"enabled": true, "cc_lock_timeout_s": 0.5,
+                          "cc_max_retries": 3, "cc_backoff_base_s": 0.02,
+                          "cc_backoff_cap_s": 1.0, "cc_page_latches": false},
+          "workload": {"kind": "ocb", "rw_ratio": 20, "classes": 8,
+                       "hierarchy_depth": 3, "instances": 600,
+                       "refs_per_object": 2, "locality": "zipf",
+                       "zipf_theta": 0.6, "gaussian_window": 0.1,
+                       "base_object_bytes": 200,
+                       "inheritance_fraction": 0.4,
+                       "interleaved_read_probability": 0.5,
+                       "partitions": 6, "set_lookup_size": 4,
+                       "traversal_depth": 2,
+                       "read_mix": [0.4, 0.3, 0.2, 0.1],
+                       "churn_probability": 0.05, "churn_burst_length": 4,
+                       "churn_cross_partition": 0.5},
+          "clustering": {"dynamic": "DSTC", "dyn_observation_period": 64,
+                         "dyn_heat_decay": 0.25,
+                         "dyn_max_tracked_objects": 1000,
+                         "dyn_max_tracked_links": 2000,
+                         "dyn_trigger_threshold": 4.0,
+                         "dyn_unit_size": 8, "dyn_max_moves": 32,
+                         "opcf_watermark": 1.5, "opcf_batch": 2}
+        }
+      })json",
+       R"json({
+        "name": "gates",
+        "config": {
+          "concurrency": {"enabled": true},
+          "workload": {"kind": "ocb", "churn_probability": 0.05},
+          "clustering": {"dynamic": "DSTC"}
+        }
+      })json"},
+  };
+  const std::set<std::string> openers = {
+      "profile_spans", "shards", "arrival", "enabled",
+      "kind", "churn_probability", "dynamic"};
+  const std::vector<std::pair<std::string, std::string>> sections = {
+      {"", R"({"name": "x", "?": 0})"},
+      {"config", R"({"name": "x", "config": {"?": 0}})"},
+      {"config.workload", R"({"name": "x", "config": {"workload": {"?": 0}}})"},
+      {"config.clustering",
+       R"({"name": "x", "config": {"clustering": {"?": 0}}})"},
+      {"config.concurrency",
+       R"({"name": "x", "config": {"concurrency": {"?": 0}}})"},
+      {"sweep", R"({"name": "x", "sweep": {"?": 0}})"},
+  };
+  // A section of a parsed document by dotted path, or nullptr.
+  const auto section = [](const JsonValue& doc, const std::string& path) {
+    const JsonValue* at = &doc;
+    std::istringstream parts(path);
+    for (std::string part; at != nullptr && std::getline(parts, part, '.');) {
+      at = at->Find(part);
+    }
+    return at;
+  };
+
+  const auto defaults = ParseScenario(R"({"name": "defaults"})");
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  const auto defaults_doc = JsonValue::Parse(defaults->ToJson());
+  ASSERT_TRUE(defaults_doc.ok());
+
+  std::set<std::string> covered;  // "section/key"
+  for (const auto& [full_json, gates_json] : documents) {
+    const auto first = ParseScenario(full_json);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const std::string json = first->ToJson();
+    const auto second = ParseScenario(json);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(json, second->ToJson());
+
+    const auto gates = ParseScenario(gates_json);
+    ASSERT_TRUE(gates.ok()) << gates.status().ToString();
+    const auto input_doc = JsonValue::Parse(full_json);
+    const auto full_doc = JsonValue::Parse(json);
+    const auto gates_doc = JsonValue::Parse(gates->ToJson());
+    ASSERT_TRUE(input_doc.ok() && full_doc.ok() && gates_doc.ok());
+    for (const auto& [path, probe] : sections) {
+      const JsonValue* input = section(*input_doc, path);
+      if (input == nullptr) continue;
+      for (const auto& [key, given] : input->members()) {
+        SCOPED_TRACE(path + "/" + key);
+        const JsonValue* written = section(*full_doc, path)->Find(key);
+        ASSERT_NE(written, nullptr) << "set but not serialized";
+        covered.insert(path + "/" + key);
+        if (written->is_object()) continue;  // a section, checked on its own
+        EXPECT_TRUE(SameValue(given, *written))
+            << Render(given) << " written as " << Render(*written);
+        if (openers.count(key) != 0) continue;
+        const JsonValue* at_defaults = section(*defaults_doc, path);
+        if (path.starts_with("config") && key != "rw_ratio_schedule" &&
+            (at_defaults == nullptr || at_defaults->Find(key) == nullptr)) {
+          std::vector<std::string> parts;
+          std::istringstream split(path);
+          for (std::string part; std::getline(split, part, '.');) {
+            parts.push_back(part);
+          }
+          std::string alone = "{\"" + key + "\": ";
+          alone += Render(given);
+          alone += "}";
+          for (auto part = parts.rbegin(); part != parts.rend(); ++part) {
+            alone = "{\"" + *part + "\": " + alone + "}";
+          }
+          std::string scenario = alone;
+          scenario.replace(0, 1, "{\"name\": \"x\", ");
+          EXPECT_FALSE(ParseScenario(scenario).ok())
+              << "ungated: " << alone;
+        }
+        const JsonValue* baseline = section(*gates_doc, path);
+        const JsonValue* other =
+            baseline == nullptr ? nullptr : baseline->Find(key);
+        if (other != nullptr) {
+          EXPECT_NE(Render(*written), Render(*other));
+        }
+      }
+    }
+  }
+  for (const auto& [path, probe] : sections) {
+    const std::vector<std::string> keys = KnownKeys(probe);
+    EXPECT_FALSE(keys.empty()) << path;
+    for (const std::string& key : keys) {
+      if (key == "buffer_level") continue;  // parse-only
+      EXPECT_EQ(covered.count(path + "/" + key), 1u)
+          << path << "/" << key << " is never written at a non-default value";
+    }
+  }
 }
 
 TEST(ScenarioTest, DynamicKnobsRoundTripAndExpand) {
