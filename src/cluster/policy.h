@@ -79,6 +79,8 @@ struct ClusterConfig {
   /// axis so scenarios and grids cover it declaratively.
   dyn::DynConfig dynamic{};
 
+  friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
+
   /// "Cluster_within_Buffer", "2_IO_limit", "No_limit", ... as the paper
   /// labels its x-axes, plus a "+DSTC" / "+OPCF" suffix when a dynamic
   /// re-clustering policy is layered on.

@@ -174,6 +174,9 @@ struct ModelConfig {
   /// simulation itself.
   int cell_index = 0;
 
+  /// Field by field, every knob included.
+  friend bool operator==(const ModelConfig&, const ModelConfig&) = default;
+
   /// Buffer-pool operating levels at the scaled database size, preserving
   /// the paper's buffer:database ratios (100/1000/10000 : 128 K pages).
   size_t BufferSmall() const { return ScaledBuffers(100); }

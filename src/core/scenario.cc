@@ -115,16 +115,20 @@ std::string Encode(const M& value, PolicyAxis axis = {}) {
 /// subsystem on (OCB knobs need the OCB kind, dyn_* knobs a dynamic
 /// policy, ...). Setting a gated knob with the gate shut is a parse error,
 /// so a typo cannot silently leave the cell without the subsystem; ToJson
-/// writes gated knobs only while the gate is open.
+/// writes gated knobs only while the gate is open, or while `written`
+/// holds when the gate has one.
 template <typename T>
 struct KindGate {
   bool (*open)(const T&);
   /// Completes the error `<section>: "<knob>" ...`.
   const char* why;
   /// A key whose mere presence opens the gate at parse time, even at a
-  /// value that keeps it shut for ToJson (an explicit one-shard base lets
-  /// a shards sweep axis pick up the shard_* knobs).
+  /// value that keeps it shut (an explicit one-shard base lets a shards
+  /// sweep axis pick up the shard_* knobs).
   const char* opener = nullptr;
+  /// When ToJson writes the gated knobs, if not exactly while the gate is
+  /// open; it must then also write the opener.
+  bool (*written)(const T&) = nullptr;
 };
 
 /// One row of a section table: a JSON key and how to read and write it.
@@ -223,7 +227,9 @@ template <typename T>
 std::string EmitSection(const T& t, const Knobs<T>& knobs) {
   JsonObjectWriter o;
   for (const Knob<T>& k : knobs) {
-    if (!k.emit || (k.gate && !k.gate->open(t)) || (k.when && !k.when(t))) {
+    const KindGate<T>* g = k.gate;
+    if (!k.emit || (g && !(g->written ? g->written : g->open)(t)) ||
+        (k.when && !k.when(t))) {
       continue;
     }
     const std::string text = k.emit(t);
@@ -416,6 +422,14 @@ Status DecodeWorkload(const JsonValue& v, const std::string& key,
 
 bool SpansOn(const ModelConfig& c) { return c.profile_spans; }
 bool Sharded(const ModelConfig& c) { return c.shards != 1; }
+/// A one-shard base still carries shard knobs set away from the defaults:
+/// a shards sweep axis runs its multi-shard cells with them.
+bool ShardKnobsSet(const ModelConfig& c) {
+  static const ModelConfig defaults = ScaledConfig();
+  return Sharded(c) || c.shard_placement != defaults.shard_placement ||
+         c.shard_hop_latency_s != defaults.shard_hop_latency_s ||
+         c.shard_group_cap != defaults.shard_group_cap;
+}
 bool OpenArrivals(const ModelConfig& c) {
   return c.arrival == ArrivalProcess::kOpen;
 }
@@ -425,7 +439,7 @@ const KindGate<ModelConfig> kSpanGate{
 const KindGate<ModelConfig> kShardGate{
     Sharded,
     "is a sharding knob; add \"shards\": <N> to enable the N-shard core",
-    "shards"};
+    "shards", ShardKnobsSet};
 const KindGate<ModelConfig> kArrivalGate{
     OpenArrivals, "has no effect without \"arrival\": \"Open\""};
 
@@ -464,7 +478,7 @@ const Knobs<ModelConfig>& ConfigKnobs() {
             &M::static_reorganize_after_build),
       Field("profile_spans", &M::profile_spans),
       Field("span_exemplars", &M::span_exemplars).Under(kSpanGate),
-      Field("shards", &M::shards).When(Sharded),
+      Field("shards", &M::shards).When(ShardKnobsSet),
       Policy("shard_placement", PolicyAxis::kShardPlacement,
              &M::shard_placement)
           .Under(kShardGate),

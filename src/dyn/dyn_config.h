@@ -80,6 +80,8 @@ struct DynConfig {
   /// ...and then drained at most this many units per transaction.
   int opcf_batch = 4;
 
+  friend bool operator==(const DynConfig&, const DynConfig&) = default;
+
   bool enabled() const { return policy != PolicyKind::kNone; }
 
   /// Suffix appended to ClusterConfig::Label(): "", "+DSTC", or "+OPCF".

@@ -29,6 +29,8 @@ struct DiskParams {
   double avg_seek_s = 0.016;
   double avg_rotation_s = 0.0083;
   double transfer_rate_bytes_per_s = 1.8e6;
+
+  friend bool operator==(const DiskParams&, const DiskParams&) = default;
 };
 
 /// Purpose tag for a physical I/O.

@@ -10,7 +10,8 @@ namespace oodb::obs {
 namespace {
 
 /// Cycle/size guard for the configuration walk (attachments are
-/// unvalidated, as in OCT, so the configuration graph may contain cycles).
+/// unvalidated, as in OCT, so the configuration graph may contain cycles):
+/// a walk stops once this many objects are marked.
 constexpr size_t kMaxConfigurationWalk = 4096;
 
 }  // namespace
@@ -83,7 +84,7 @@ PlacementSample PlacementAuditor::Sample() const {
   const obj::ObjectGraph& graph = *graph_;
   const store::StorageManager& storage = *storage_;
 
-  // ---- edges, per-type extents, and configuration roots in one pass ----
+  // ---- edges, per-type extents, configuration roots and index: one pass ----
   // Types and pages are dense ids, so per-type byte totals and
   // distinct-page counts live in flat arrays with a types-by-pages seen
   // matrix instead of a map of hash sets (the audit runs once per cell but
@@ -95,13 +96,30 @@ PlacementSample PlacementAuditor::Sample() const {
   std::vector<uint8_t> type_page_seen(type_count * page_count, 0);
   std::vector<obj::ObjectId> config_roots;
 
+  // The configuration walk's compact index: per object its page slot and
+  // the start of its run in `children`, a CSR of its live
+  // kConfiguration/kDown children. This pass counts them; the runs are
+  // filled once their total is known. Unplaced objects share the extra
+  // page slot `unplaced`, which the walk never counts.
+  struct WalkNode {
+    uint32_t first_child;
+    store::PageId page;
+  };
+  const auto unplaced = static_cast<store::PageId>(page_count);
   const auto num_objects = static_cast<obj::ObjectId>(graph.size());
+  std::vector<WalkNode> nodes(num_objects + size_t{1});
+  uint32_t child_count = 0;
+  uint32_t max_children = 0;
+
   for (obj::ObjectId id = 0; id < num_objects; ++id) {
+    const uint32_t first_child = child_count;
+    nodes[id] = {first_child, unplaced};
     if (!graph.IsLive(id)) continue;
     ++s.live_objects;
     const obj::DesignObject& o = graph.object(id);
     const store::PageId my_page = storage.PageOf(id);
     if (my_page != store::kInvalidPage) {
+      nodes[id].page = my_page;
       ++s.placed_objects;
       type_bytes[o.type] += storage.SizeOf(id);
       uint8_t& seen = type_page_seen[o.type * page_count + my_page];
@@ -114,8 +132,12 @@ PlacementSample PlacementAuditor::Sample() const {
     bool has_up_config = false;
     for (const obj::Edge e : graph.edges(id)) {
       if (e.kind == obj::RelKind::kConfiguration) {
-        (e.dir == obj::Direction::kDown ? has_down_config : has_up_config) =
-            true;
+        if (e.dir == obj::Direction::kDown) {
+          has_down_config = true;
+          child_count += graph.IsLive(e.target);
+        } else {
+          has_up_config = true;
+        }
       }
       // Count each edge once, from its kDown side.
       if (e.dir != obj::Direction::kDown) continue;
@@ -130,7 +152,19 @@ PlacementSample PlacementAuditor::Sample() const {
         ++s.colocated;
       }
     }
+    max_children = std::max(max_children, child_count - first_child);
     if (has_down_config && !has_up_config) config_roots.push_back(id);
+  }
+  nodes[num_objects].first_child = child_count;
+  // Each run in ForEachNeighbor order, which is the walk's push order.
+  std::vector<obj::ObjectId> children(child_count);
+  for (obj::ObjectId id = 0; id < num_objects; ++id) {
+    uint32_t next = nodes[id].first_child;
+    if (next == nodes[id + 1].first_child) continue;
+    graph.ForEachNeighbor(id, obj::RelKind::kConfiguration,
+                          obj::Direction::kDown, [&](obj::ObjectId c) {
+                            if (graph.IsLive(c)) children[next++] = c;
+                          });
   }
 
   // ---- page occupancy ----
@@ -176,38 +210,45 @@ PlacementSample PlacementAuditor::Sample() const {
   }
 
   // ---- pages per configuration ----
-  // Stamped membership arrays replace per-root hash sets: a mark equal to
-  // the current walk number means "seen by this root's walk", so there is
-  // nothing to clear between roots. Traversal order and counts match the
-  // hash-set implementation exactly.
+  // A depth-first walk from each root over the index, marking on push and
+  // stopping once kMaxConfigurationWalk objects are marked (the last pop
+  // may push past the cap). Marked-but-unpopped objects add no pages, so a
+  // capped count depends on the LIFO order, which is why the index keeps
+  // ForEachNeighbor's order. Stamped marks (equal to the current walk number means
+  // "seen by this root's walk") need no clearing between roots. A push
+  // always writes the slot above the top and only advances past it when
+  // the child is fresh; a walk never holds more than the cap plus one
+  // object's children, so the stack is sized once.
   double config_pages_sum = 0;
-  std::vector<obj::ObjectId> stack;
-  std::vector<uint32_t> object_mark(graph.size(), 0);
-  std::vector<uint32_t> page_mark(page_count, 0);
+  std::vector<uint32_t> object_mark(num_objects, 0);
+  std::vector<uint32_t> page_mark(page_count + 1, 0);
+  std::vector<obj::ObjectId> stack(kMaxConfigurationWalk + max_children);
   uint32_t walk = 0;
   for (const obj::ObjectId root : config_roots) {
     ++walk;
     object_mark[root] = walk;
+    stack[0] = root;
+    size_t top = 1;
     size_t visited = 1;
     size_t distinct_pages = 0;
-    stack.assign(1, root);
-    while (!stack.empty() && visited < kMaxConfigurationWalk) {
-      const obj::ObjectId o = stack.back();
-      stack.pop_back();
-      const store::PageId p = storage.PageOf(o);
-      if (p != store::kInvalidPage && page_mark[p] != walk) {
-        page_mark[p] = walk;
-        ++distinct_pages;
+    while (top > 0 && visited < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack[--top];
+      const store::PageId p = nodes[o].page;
+      distinct_pages += page_mark[p] != walk;
+      page_mark[p] = walk;
+      const uint32_t end = nodes[o + 1].first_child;
+      for (uint32_t i = nodes[o].first_child; i < end; ++i) {
+        const obj::ObjectId c = children[i];
+        // The last fresh child is the next pop: start loading its run.
+        __builtin_prefetch(children.data() + nodes[c].first_child);
+        const bool fresh = object_mark[c] != walk;
+        object_mark[c] = walk;
+        stack[top] = c;
+        top += fresh;
+        visited += fresh;
       }
-      graph.ForEachNeighbor(o, obj::RelKind::kConfiguration,
-                            obj::Direction::kDown, [&](obj::ObjectId c) {
-                              if (graph.IsLive(c) && object_mark[c] != walk) {
-                                object_mark[c] = walk;
-                                ++visited;
-                                stack.push_back(c);
-                              }
-                            });
     }
+    distinct_pages -= page_mark[unplaced] == walk;
     config_pages_sum += static_cast<double>(distinct_pages);
     ++s.configurations;
   }

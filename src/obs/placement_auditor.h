@@ -75,7 +75,8 @@ struct PlacementSample {
   uint64_t types_audited = 0;
 
   /// Mean number of distinct pages spanned by one configuration (a
-  /// composite root plus its transitively reachable components).
+  /// composite root plus its transitively reachable components, up to
+  /// the walk cap; see PlacementAuditor).
   double mean_pages_per_configuration = 0;
   uint64_t configurations = 0;
 
@@ -95,8 +96,13 @@ struct PlacementSample {
 };
 
 /// Computes PlacementSamples from a live graph + storage pair. Holds no
-/// state beyond the two pointers; every Sample() is a fresh full scan
-/// (linear in objects + edges + pages).
+/// state beyond the two pointers; every Sample() is a fresh full scan,
+/// O(objects + edges + pages + roots x 4096): one pass over objects and
+/// edges, which also builds a compact index of configuration children,
+/// then a depth-first walk per configuration root over that index,
+/// stopped once 4096 objects are marked. A capped walk's page count
+/// depends on the order children are visited in, so the index keeps the
+/// graph's edge order (DESIGN.md §9).
 class PlacementAuditor {
  public:
   PlacementAuditor(const obj::ObjectGraph* graph,

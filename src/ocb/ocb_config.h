@@ -94,6 +94,8 @@ struct OcbConfig {
   /// future traversals off the original placement).
   double churn_cross_partition = 0.9;
 
+  friend bool operator==(const OcbConfig&, const OcbConfig&) = default;
+
   bool churn_enabled() const { return enabled && churn_probability > 0.0; }
 
   /// Workload-cell label, e.g. "ocb-zipf3-10" (locality, refs/object,

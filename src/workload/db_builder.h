@@ -57,6 +57,8 @@ struct DatabaseSpec {
   /// be resident and Cluster_within_Buffer would never miss a candidate.
   double interleaved_read_probability = 0.8;
   uint64_t seed = 42;
+
+  friend bool operator==(const DatabaseSpec&, const DatabaseSpec&) = default;
 };
 
 /// The logical catalogue of the built database, consumed by the workload

@@ -65,6 +65,9 @@ struct WorkloadConfig {
   /// writes whose candidate pages are typically not resident.
   double cross_module_write_probability = 0.3;
 
+  friend bool operator==(const WorkloadConfig&,
+                         const WorkloadConfig&) = default;
+
   /// Paper-style cell label, e.g. "hi10-100" or "low3-5".
   std::string Label() const;
 };

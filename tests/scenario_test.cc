@@ -255,7 +255,9 @@ TEST(ScenarioTest, ParseSerializeRoundTripIsStable) {
   EXPECT_EQ(json, second->ToJson());
 
   // Every committed scenario (read in place, never written) serializes to
-  // a document that parses back to the same serialization.
+  // a document that parses back to the same serialization and expands to
+  // the same cells: labels and every config knob, so the round trip is
+  // faithful, not just stable.
   size_t files = 0;
   for (const char* dir : {"/bench/scenarios", "/perfbench/workloads"}) {
     for (const auto& entry : std::filesystem::directory_iterator(
@@ -270,6 +272,16 @@ TEST(ScenarioTest, ParseSerializeRoundTripIsStable) {
       const auto reparsed = ParseScenario(text);
       ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
       EXPECT_EQ(text, reparsed->ToJson());
+      const std::vector<ScenarioCell> want = committed->Expand();
+      const std::vector<ScenarioCell> got = reparsed->Expand();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(want[i].cell_label);
+        EXPECT_EQ(got[i].cell_label, want[i].cell_label);
+        EXPECT_EQ(got[i].policy, want[i].policy);
+        EXPECT_EQ(got[i].workload, want[i].workload);
+        EXPECT_TRUE(got[i].config == want[i].config);
+      }
     }
   }
   EXPECT_GE(files, 9u);

@@ -5,12 +5,16 @@
 
 #include "gtest/gtest.h"
 
+#include "buffer/buffer_pool.h"
+#include "cluster/affinity.h"
+#include "cluster/cluster_manager.h"
 #include "core/bench_report.h"
 #include "core/engineering_db.h"
 #include "core/experiment.h"
 #include "core/model_config.h"
 #include "dyn/dyn_config.h"
 #include "exec/experiment_runner.h"
+#include "ocb/ocb_builder.h"
 #include "ocb/ocb_config.h"
 #include "obs/metrics.h"
 #include "obs/placement_auditor.h"
@@ -18,6 +22,7 @@
 #include "objmodel/object_graph.h"
 #include "objmodel/type_system.h"
 #include "storage/storage_manager.h"
+#include "util/random.h"
 
 namespace oodb {
 namespace {
@@ -286,6 +291,277 @@ TEST_F(PlacementAuditorTest, ChurnEmptiedPagesKeepRatiosFinite) {
   EXPECT_EQ(json.find("nan"), std::string::npos) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_NE(json.find("\"empty_pages\":2"), std::string::npos) << json;
+}
+
+// ------------------------------------------- configuration walk exactness
+
+// The auditor as it was before the configuration walk ran on a compact
+// index, kept verbatim as the oracle: Sample() must reproduce it byte for
+// byte, including where the walk cap makes the result order-dependent.
+obs::PlacementSample OracleSample(const obj::ObjectGraph& graph,
+                                  const store::StorageManager& storage) {
+  constexpr size_t kMaxConfigurationWalk = 4096;
+  obs::PlacementSample s;
+
+  const size_t type_count = graph.lattice().size();
+  const size_t page_count = storage.page_count();
+  std::vector<uint64_t> type_bytes(type_count, 0);
+  std::vector<uint64_t> type_pages(type_count, 0);
+  std::vector<uint8_t> type_page_seen(type_count * page_count, 0);
+  std::vector<obj::ObjectId> config_roots;
+
+  const auto num_objects = static_cast<obj::ObjectId>(graph.size());
+  for (obj::ObjectId id = 0; id < num_objects; ++id) {
+    if (!graph.IsLive(id)) continue;
+    ++s.live_objects;
+    const obj::DesignObject& o = graph.object(id);
+    const store::PageId my_page = storage.PageOf(id);
+    if (my_page != store::kInvalidPage) {
+      ++s.placed_objects;
+      type_bytes[o.type] += storage.SizeOf(id);
+      uint8_t& seen = type_page_seen[o.type * page_count + my_page];
+      if (seen == 0) {
+        seen = 1;
+        ++type_pages[o.type];
+      }
+    }
+    bool has_down_config = false;
+    bool has_up_config = false;
+    for (const obj::Edge e : graph.edges(id)) {
+      if (e.kind == obj::RelKind::kConfiguration) {
+        (e.dir == obj::Direction::kDown ? has_down_config : has_up_config) =
+            true;
+      }
+      // Count each edge once, from its kDown side.
+      if (e.dir != obj::Direction::kDown) continue;
+      if (my_page == store::kInvalidPage || !graph.IsLive(e.target)) continue;
+      const store::PageId target_page = storage.PageOf(e.target);
+      if (target_page == store::kInvalidPage) continue;
+      obs::EdgeLocality& kind = s.by_kind[static_cast<size_t>(e.kind)];
+      ++kind.edges;
+      ++s.edges;
+      if (target_page == my_page) {
+        ++kind.colocated;
+        ++s.colocated;
+      }
+    }
+    if (has_down_config && !has_up_config) config_roots.push_back(id);
+  }
+
+  s.pages = storage.page_count();
+  double fill_sum = 0;
+  for (store::PageId p = 0; p < storage.page_count(); ++p) {
+    const store::Page& page = storage.page(p);
+    if (page.object_count() == 0) {
+      ++s.empty_pages;
+      continue;
+    }
+    ++s.nonempty_pages;
+    const double fill = static_cast<double>(page.used_bytes()) /
+                        static_cast<double>(page.capacity_bytes());
+    fill_sum += fill;
+    size_t bucket = static_cast<size_t>(fill * obs::kOccupancyBuckets);
+    if (bucket >= obs::kOccupancyBuckets) bucket = obs::kOccupancyBuckets - 1;
+    ++s.occupancy_histogram[bucket];
+  }
+  if (s.nonempty_pages > 0) {
+    s.mean_occupancy = fill_sum / static_cast<double>(s.nonempty_pages);
+  }
+
+  const uint64_t capacity = storage.page_size_bytes();
+  double frag_sum = 0;
+  for (size_t type = 0; type < type_count; ++type) {
+    if (type_bytes[type] == 0) continue;  // no placed instances
+    const uint64_t min_pages =
+        std::max<uint64_t>(1, (type_bytes[type] + capacity - 1) / capacity);
+    frag_sum += static_cast<double>(type_pages[type]) /
+                static_cast<double>(min_pages);
+    ++s.types_audited;
+  }
+  if (s.types_audited > 0) {
+    s.mean_type_fragmentation =
+        frag_sum / static_cast<double>(s.types_audited);
+  }
+
+  double config_pages_sum = 0;
+  std::vector<obj::ObjectId> stack;
+  std::vector<uint32_t> object_mark(graph.size(), 0);
+  std::vector<uint32_t> page_mark(page_count, 0);
+  uint32_t walk = 0;
+  for (const obj::ObjectId root : config_roots) {
+    ++walk;
+    object_mark[root] = walk;
+    size_t visited = 1;
+    size_t distinct_pages = 0;
+    stack.assign(1, root);
+    while (!stack.empty() && visited < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack.back();
+      stack.pop_back();
+      const store::PageId p = storage.PageOf(o);
+      if (p != store::kInvalidPage && page_mark[p] != walk) {
+        page_mark[p] = walk;
+        ++distinct_pages;
+      }
+      graph.ForEachNeighbor(o, obj::RelKind::kConfiguration,
+                            obj::Direction::kDown, [&](obj::ObjectId c) {
+                              if (graph.IsLive(c) && object_mark[c] != walk) {
+                                object_mark[c] = walk;
+                                ++visited;
+                                stack.push_back(c);
+                              }
+                            });
+    }
+    config_pages_sum += static_cast<double>(distinct_pages);
+    ++s.configurations;
+  }
+  if (s.configurations > 0) {
+    s.mean_pages_per_configuration =
+        config_pages_sum / static_cast<double>(s.configurations);
+  }
+  return s;
+}
+
+/// An OCB database built and loaded outside the model (ocb_mix's shape:
+/// 6000 instances of 16 classes, three references each). The classes are
+/// registered before the affinity model sizes its per-type table.
+struct OcbPlacement {
+  OcbPlacement(ocb::RefLocality locality, cluster::CandidatePool pool)
+      : config(ConfigFor(locality)),
+        schema(ocb::RegisterOcbClasses(lattice, config, 7)),
+        graph(&lattice),
+        storage(4096, 0.8),
+        buffer(64, buffer::ReplacementPolicy::kLru, 1),
+        affinity(&lattice),
+        cluster(&graph, &storage, &affinity, &buffer, ClusterFor(pool)) {
+    ocb::OcbBuilder(&graph, &cluster, &buffer, config).Build(schema, 7);
+  }
+
+  static ocb::OcbConfig ConfigFor(ocb::RefLocality locality) {
+    ocb::OcbConfig c;
+    c.enabled = true;
+    c.classes = 16;
+    c.instances = 6000;
+    c.refs_per_object = 3;
+    c.locality = locality;
+    return c;
+  }
+  static cluster::ClusterConfig ClusterFor(cluster::CandidatePool pool) {
+    cluster::ClusterConfig c;
+    c.pool = pool;
+    return c;
+  }
+
+  ocb::OcbConfig config;
+  obj::TypeLattice lattice;
+  ocb::OcbSchema schema;
+  obj::ObjectGraph graph;
+  store::StorageManager storage;
+  buffer::BufferPool buffer;
+  cluster::AffinityModel affinity;
+  cluster::ClusterManager cluster;
+};
+
+void ExpectSampleMatchesOracle(const obj::ObjectGraph& graph,
+                               const store::StorageManager& storage) {
+  const obs::PlacementSample fast =
+      obs::PlacementAuditor(&graph, &storage).Sample();
+  const obs::PlacementSample oracle = OracleSample(graph, storage);
+  EXPECT_GT(oracle.configurations, 0u);
+  EXPECT_EQ(fast.ToJson(), oracle.ToJson());
+}
+
+TEST(PlacementAuditorExactnessTest, OcbGraphsMatchTheOracle) {
+  for (const ocb::RefLocality locality :
+       {ocb::RefLocality::kUniform, ocb::RefLocality::kZipf,
+        ocb::RefLocality::kGaussian}) {
+    for (const cluster::CandidatePool pool :
+         {cluster::CandidatePool::kNoClustering,
+          cluster::CandidatePool::kWithinDb}) {
+      SCOPED_TRACE(ocb::RefLocalityName(locality));
+      SCOPED_TRACE(cluster::CandidatePoolName(pool));
+      OcbPlacement db(locality, pool);
+      ExpectSampleMatchesOracle(db.graph, db.storage);
+
+      // Churn: delete every 5th object (dropping it from storage too) and
+      // unplace every 7th survivor, then drain the first 20 pages. Walks
+      // now meet removed children, unplaced objects and empty pages.
+      const auto n = static_cast<obj::ObjectId>(db.graph.size());
+      for (obj::ObjectId id = 0; id < n; ++id) {
+        if (id % 5 == 0) {
+          db.graph.Remove(id);
+          ASSERT_TRUE(db.storage.Erase(id).ok());
+        } else if (id % 7 == 0) {
+          ASSERT_TRUE(db.storage.Erase(id).ok());
+        }
+      }
+      for (obj::ObjectId id = 0; id < n; ++id) {
+        const store::PageId p = db.storage.PageOf(id);
+        if (p != store::kInvalidPage && p < 20) {
+          ASSERT_TRUE(db.storage.Erase(id).ok());
+        }
+      }
+      const obs::PlacementSample churned =
+          obs::PlacementAuditor(&db.graph, &db.storage).Sample();
+      EXPECT_GT(churned.empty_pages, 0u);
+      EXPECT_LT(churned.placed_objects, churned.live_objects);
+      ExpectSampleMatchesOracle(db.graph, db.storage);
+    }
+  }
+}
+
+TEST(PlacementAuditorExactnessTest, CyclicConfigurationsMatchTheOracle) {
+  // Random configuration edges over 9000 objects: cycles, shared
+  // components, repeated edges and walks long enough to reach the cap.
+  // Objects [0, 300) only point down, so many of them are roots.
+  obj::TypeLattice lattice;
+  const obj::TypeId t = lattice.DefineType("t", obj::kInvalidType, 0, {});
+  obj::ObjectGraph graph(&lattice);
+  store::StorageManager storage(8000);
+  const obj::FamilyId fam = graph.NewFamily("f");
+  constexpr obj::ObjectId kObjects = 9000;
+  SplitMix64 rng(42);
+  for (obj::ObjectId i = 0; i < kObjects; ++i) {
+    graph.Create(fam, 0, t, 40);
+    if (i % 10 == 0) storage.AllocatePage();
+    if (i % 13 != 0) {  // some objects stay unplaced
+      ASSERT_TRUE(storage.Place(i, 40, rng.NextBelow(storage.page_count()))
+                      .ok());
+    }
+  }
+  for (obj::ObjectId i = 0; i < kObjects; ++i) {
+    const uint64_t fanout = 1 + rng.NextBelow(3);
+    for (uint64_t k = 0; k < fanout; ++k) {
+      const auto j =
+          static_cast<obj::ObjectId>(300 + rng.NextBelow(kObjects - 300));
+      if (j != i) graph.Relate(i, j, obj::RelKind::kConfiguration);
+    }
+  }
+  ExpectSampleMatchesOracle(graph, storage);
+}
+
+TEST(PlacementAuditorExactnessTest, WalkStopsAfterTheCapsLastPop) {
+  // One root heading a 5000-object chain. Marking on push, the walk pops
+  // objects 0..4094 (the 4095th pop marks the 4096th object and ends the
+  // walk). Two objects per page, they span pages 0..2047; one per page,
+  // which also catches a walk that pops one object too many, 4095 pages.
+  for (const obj::ObjectId per_page : {2u, 1u}) {
+    obj::TypeLattice lattice;
+    const obj::TypeId t = lattice.DefineType("t", obj::kInvalidType, 0, {});
+    obj::ObjectGraph graph(&lattice);
+    store::StorageManager storage(100);
+    const obj::FamilyId fam = graph.NewFamily("f");
+    for (obj::ObjectId i = 0; i < 5000; ++i) {
+      graph.Create(fam, 0, t, 40);
+      if (i % per_page == 0) storage.AllocatePage();
+      ASSERT_TRUE(storage.Place(i, 40, i / per_page).ok());
+      if (i > 0) graph.Relate(i - 1, i, obj::RelKind::kConfiguration);
+    }
+    const obs::PlacementSample s =
+        obs::PlacementAuditor(&graph, &storage).Sample();
+    EXPECT_EQ(s.configurations, 1u);
+    EXPECT_EQ(s.mean_pages_per_configuration, per_page == 2 ? 2048.0 : 4095.0);
+    EXPECT_EQ(s.ToJson(), OracleSample(graph, storage).ToJson());
+  }
 }
 
 TEST(PlacementSampleTest, MergeOfEmptySamplesStaysFinite) {
