@@ -51,6 +51,34 @@ void BM_BufferBoost(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferBoost);
 
+// Context-sensitive replacement under eviction pressure: zipf Fix over 8x
+// capacity pages, each followed by five boosts (about oct_read's ratio of
+// priority updates per eviction) with the pipeline's weights: 6 on the
+// fixed page itself, as after a prefetch, and 1 + 8w (w a relationship
+// weight in [0, 1)) on four recently fixed pages, as for structural
+// neighbours. One iteration is one Fix plus its boosts.
+void BM_BufferContextChurn(benchmark::State& state) {
+  constexpr size_t kCapacity = 1024;
+  constexpr uint64_t kPages = 8 * kCapacity;
+  buffer::BufferPool pool(kCapacity,
+                          buffer::ReplacementPolicy::kContextSensitive);
+  Rng rng(23);
+  std::vector<store::PageId> recent(8, 0);
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto page = static_cast<store::PageId>(rng.Zipf(kPages, 0.7));
+    benchmark::DoNotOptimize(pool.Fix(page));
+    recent[next++ % recent.size()] = page;
+    for (int b = 0; b < 5; ++b) {
+      const store::PageId rel =
+          b == 0 ? page : recent[rng.NextBelow(recent.size())];
+      pool.Boost(rel, b == 0 ? 6.0 : 1.0 + 8.0 * rng.UniformDouble(0, 1));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BufferContextChurn);
+
 // ------------------------------------------------------------ splitter
 
 cluster::DependencyGraph MakeGraph(int nodes, Rng& rng) {

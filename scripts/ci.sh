@@ -235,6 +235,29 @@ fi
 "${BUILD}/tools/bench_diff" "${D1}" "${D4}"
 "${BUILD}/tools/bench_diff" --baseline "${OCT_DYN_BASELINE}" --rtol 0 "${D1}"
 
+# Buffer-replacement gate (buffer/buffer_pool.*, DESIGN.md §12): LRU and
+# context-sensitive replacement under the three prefetch policies on a
+# small OCT database whose buffer evicts. The only committed baseline that
+# runs the context-sensitive victim index (boosts, keys lowered by a plain
+# access, pinned frames); exact across job counts and against the
+# baseline (rtol 0).
+BUF_SCENARIO="${ROOT}/bench/scenarios/buffer_context.scenario.json"
+BUF_BASELINE="${ROOT}/BENCH_buffer_context.jsonl"
+B1="${BUILD}/buffer_context_jobs1.json"
+B4="${BUILD}/buffer_context_jobs4.json"
+rm -f "${B1}" "${B4}"
+"${RUN}" --jobs 1 --json "${B1}" "${BUF_SCENARIO}" \
+  > "${BUILD}/buffer_context_jobs1.out"
+"${RUN}" --jobs 4 --json "${B4}" "${BUF_SCENARIO}" \
+  > "${BUILD}/buffer_context_jobs4.out"
+if ! diff "${BUILD}/buffer_context_jobs1.out" \
+    "${BUILD}/buffer_context_jobs4.out"; then
+  echo "FAIL: buffer-replacement scenario tables differ between job counts" >&2
+  exit 1
+fi
+"${BUILD}/tools/bench_diff" "${B1}" "${B4}"
+"${BUILD}/tools/bench_diff" --baseline "${BUF_BASELINE}" --rtol 0 "${B1}"
+
 # Contention gate (src/cc/, DESIGN.md §16): the thousand-user strict-2PL
 # sweep must be bit-identical across job counts (lock waits, aborts, and
 # backoff all run on the virtual clock), reproduce the hand-written
@@ -344,4 +367,4 @@ cmake -S "${ROOT}" -B "${RELBUILD}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${RELBUILD}" -j "$(nproc)"
 ctest --test-dir "${RELBUILD}" --output-on-failure -j "$(nproc)"
 
-echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/contention baselines within tolerance, structure sharding beats hash, cc engages under load, Release build clean)"
+echo "ci: ok (tests passed, jobs=1 == jobs=4, scenario == bench, OCT/OCB/churn/shard/dyn/buffer/contention baselines within tolerance, structure sharding beats hash, cc engages under load, Release build clean)"

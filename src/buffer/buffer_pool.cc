@@ -34,6 +34,10 @@ BufferPool::BufferPool(size_t capacity, ReplacementPolicy policy,
   OODB_CHECK_GE(capacity, 1u);
   frames_.resize(capacity);
   free_frames_.reserve(capacity);
+  if (policy_ == ReplacementPolicy::kContextSensitive) {
+    index_.reserve(capacity);
+    index_pos_.assign(capacity, kNotIndexed);
+  }
   // Hand out frame 0 first for determinism.
   for (size_t i = capacity; i-- > 0;) {
     free_frames_.push_back(static_cast<FrameId>(i));
@@ -64,11 +68,49 @@ void BufferPool::LruPushMru(FrameId f) {
   if (lru_head_ == kNoFrame) lru_head_ = f;
 }
 
-void BufferPool::SetPriority(FrameId f, double priority) {
-  Frame& fr = frames_[f];
-  fr.priority = priority;
-  fr.heap_stamp = next_stamp_++;
-  heap_.push(HeapEntry{fr.priority, fr.heap_stamp, f});
+void BufferPool::SiftUp(uint32_t pos, IndexEntry e) {
+  while (pos > 0) {
+    const uint32_t parent = (pos - 1) / 2;
+    if (!(e < index_[parent])) break;
+    index_[pos] = index_[parent];
+    index_pos_[index_[pos].frame] = pos;
+    pos = parent;
+  }
+  index_[pos] = e;
+  index_pos_[e.frame] = pos;
+}
+
+void BufferPool::SiftDown(uint32_t pos, IndexEntry e) {
+  const auto n = static_cast<uint32_t>(index_.size());
+  for (;;) {
+    uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && index_[child + 1] < index_[child]) ++child;
+    if (!(index_[child] < e)) break;
+    index_[pos] = index_[child];
+    index_pos_[index_[pos].frame] = pos;
+    pos = child;
+  }
+  index_[pos] = e;
+  index_pos_[e.frame] = pos;
+}
+
+void BufferPool::IndexInsert(FrameId f) {
+  index_.push_back(ExactEntry(f));
+  SiftUp(static_cast<uint32_t>(index_.size() - 1), ExactEntry(f));
+}
+
+void BufferPool::IndexErase(FrameId f) {
+  const uint32_t pos = index_pos_[f];
+  index_pos_[f] = kNotIndexed;
+  const IndexEntry last = index_.back();
+  index_.pop_back();
+  if (pos == index_.size()) return;  // f held the last slot
+  if (pos > 0 && last < index_[(pos - 1) / 2]) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
 }
 
 void BufferPool::RecordAccess(FrameId f) {
@@ -77,11 +119,22 @@ void BufferPool::RecordAccess(FrameId f) {
       LruUnlink(f);
       LruPushMru(f);
       break;
-    case ReplacementPolicy::kContextSensitive:
+    case ReplacementPolicy::kContextSensitive: {
+      Frame& fr = frames_[f];
       access_clock_ += 1.0;
-      SetPriority(f, access_clock_);
-      frames_[f].boosted = false;  // plain recency from here on
+      fr.priority = access_clock_;
+      fr.heap_stamp = next_stamp_++;
+      fr.boosted = false;  // plain recency from here on
+      // The new stamp is the largest yet, so the key falls below the
+      // entry's only on a lower priority: when the index holds a boosted
+      // key above the clock. Then the entry moves up in place; otherwise
+      // it stays a lower bound.
+      const uint32_t pos = index_pos_[f];
+      if (pos != kNotIndexed && fr.priority < index_[pos].priority) {
+        SiftUp(pos, ExactEntry(f));
+      }
       break;
+    }
     case ReplacementPolicy::kRandom:
       break;
   }
@@ -100,7 +153,8 @@ BufferPool::FixResult BufferPool::Fix(store::PageId page) {
 
   ++misses_;
   FrameId f;
-  if (!free_frames_.empty()) {
+  const bool fresh = !free_frames_.empty();
+  if (fresh) {
     f = free_frames_.back();
     free_frames_.pop_back();
   } else {
@@ -150,9 +204,14 @@ BufferPool::FixResult BufferPool::Fix(store::PageId page) {
   }
   frame_of_[page] = f;
   ++resident_;
-  // RecordAccess links the frame into the policy structure (LruUnlink is a
-  // no-op on a frame that is not yet linked).
+  // RecordAccess links the frame into the LRU chain (LruUnlink is a no-op
+  // on a frame that is not yet linked). A reused victim frame keeps its
+  // index entry, the old page's key: the least key, so a lower bound on
+  // the new one unless RecordAccess moved it.
   RecordAccess(f);
+  if (fresh && policy_ == ReplacementPolicy::kContextSensitive) {
+    IndexInsert(f);
+  }
   return result;
 }
 
@@ -165,26 +224,15 @@ BufferPool::FrameId BufferPool::PickVictim() {
       return kNoFrame;
     }
     case ReplacementPolicy::kContextSensitive: {
-      // Pop entries until an unpinned live frame surfaces; pinned frames
-      // are stashed (their stamps stay valid) and restored afterwards.
-      pinned_stash_.clear();
-      FrameId victim = kNoFrame;
-      while (!heap_.empty()) {
-        HeapEntry e = heap_.top();
-        heap_.pop();
-        const Frame& fr = frames_[e.frame];
-        if (fr.page == store::kInvalidPage || fr.heap_stamp != e.stamp) {
-          continue;  // stale entry
-        }
-        if (fr.pin_count > 0) {
-          pinned_stash_.push_back(e);
-          continue;
-        }
-        victim = e.frame;
-        break;
+      // Re-key raised entries as they surface (one replace-top sift
+      // each) until the top entry is exact: then no frame's key is
+      // below it. Pinned frames are not in the index.
+      while (!index_.empty()) {
+        const FrameId top = index_[0].frame;
+        if (index_[0].stamp == frames_[top].heap_stamp) return top;
+        SiftDown(0, ExactEntry(top));
       }
-      for (const HeapEntry& e : pinned_stash_) heap_.push(e);
-      return victim;
+      return kNoFrame;
     }
     case ReplacementPolicy::kRandom: {
       // All frames are occupied when PickVictim is called.
@@ -217,10 +265,11 @@ void BufferPool::Boost(store::PageId page, double weight) {
   switch (policy_) {
     case ReplacementPolicy::kContextSensitive: {
       // Lift the frame above the current clock: it outlives plain-recency
-      // pages proportionally to the relationship weight.
+      // pages proportionally to the relationship weight. A raise, so the
+      // frame's index entry stays a lower bound untouched.
       Frame& fr = frames_[f];
-      const double base = std::max(fr.priority, access_clock_);
-      SetPriority(f, base + weight);
+      fr.priority = std::max(fr.priority, access_clock_) + weight;
+      fr.heap_stamp = next_stamp_++;
       fr.boosted = true;
       break;
     }
@@ -252,14 +301,20 @@ bool BufferPool::IsDirty(store::PageId page) const {
 void BufferPool::Pin(store::PageId page) {
   const FrameId f = FrameOf(page);
   OODB_CHECK_NE(f, kNoFrame);
-  ++frames_[f].pin_count;
+  if (frames_[f].pin_count++ == 0 &&
+      policy_ == ReplacementPolicy::kContextSensitive) {
+    IndexErase(f);
+  }
 }
 
 void BufferPool::Unpin(store::PageId page) {
   const FrameId f = FrameOf(page);
   OODB_CHECK_NE(f, kNoFrame);
   OODB_CHECK_GT(frames_[f].pin_count, 0u);
-  --frames_[f].pin_count;
+  if (--frames_[f].pin_count == 0 &&
+      policy_ == ReplacementPolicy::kContextSensitive) {
+    IndexInsert(f);
+  }
 }
 
 std::vector<store::PageId> BufferPool::ResidentPages() const {

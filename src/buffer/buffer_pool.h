@@ -2,7 +2,6 @@
 #define SEMCLUST_BUFFER_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "buffer/policy.h"
@@ -26,6 +25,23 @@ namespace oodb::buffer {
 /// related object is touched — so relatives of hot objects are not chosen
 /// for replacement even if they themselves were referenced long ago.
 /// Under LRU a Boost counts as a plain access; under Random it is ignored.
+///
+/// The context-sensitive victim is the unpinned resident frame with the
+/// least (priority, stamp) key; the stamp orders key updates, so on a
+/// priority tie the frame updated earlier goes first. It is kept in a
+/// victim index: a binary min-heap with exactly one entry per unpinned
+/// resident frame, so O(capacity) memory however many accesses and
+/// boosts arrive. An entry's key is a lower bound on its frame's key:
+///   - a raise (every Boost, and a plain access that lands above the
+///     entry's key) only updates the Frame; the entry is re-keyed and
+///     sifted down when it reaches the top in PickVictim;
+///   - a lowering (a plain access on a boosted frame whose boosted key
+///     the index already holds) rewrites the entry in place and sifts it
+///     up, through the frame's position in the heap;
+///   - Pin removes the frame's entry and the last Unpin re-inserts it
+///     with the frame's exact key, so the top is never pinned.
+/// PickVictim therefore returns the exact argmin: the frame a heap of
+/// every key update, stale entries skipped, would surface.
 class BufferPool {
  public:
   /// `capacity` frames (Table 4.1, parameter L), using `policy`;
@@ -93,6 +109,10 @@ class BufferPool {
   /// Zeroes the counters (between warmup and measurement).
   void ResetCounters();
 
+  /// Entries in the context-sensitive victim index: the unpinned resident
+  /// frames, so never more than capacity() (zero under other policies).
+  size_t victim_index_size() const { return index_.size(); }
+
   /// Attaches an event sink (may be null to detach). Each eviction then
   /// records an obs::TraceEventType::kEviction event carrying the page,
   /// its EvictionClass (whether a context boost was protecting it), the
@@ -109,26 +129,37 @@ class BufferPool {
     bool boosted = false;  // context boost since the last plain access
     uint32_t pin_count = 0;
     double priority = 0;   // context-sensitive replacement key
-    uint64_t heap_stamp = 0;  // invalidates stale heap entries
+    uint64_t heap_stamp = 0;  // orders key updates; breaks priority ties
     FrameId lru_prev = kNoFrame;  // LRU chain
     FrameId lru_next = kNoFrame;
   };
 
-  struct HeapEntry {
+  /// A victim-index entry: a (priority, stamp) key no greater than its
+  /// frame's current key.
+  struct IndexEntry {
     double priority;
     uint64_t stamp;
     FrameId frame;
-    bool operator>(const HeapEntry& o) const {
-      if (priority != o.priority) return priority > o.priority;
-      return stamp > o.stamp;
+    bool operator<(const IndexEntry& o) const {
+      if (priority != o.priority) return priority < o.priority;
+      return stamp < o.stamp;
     }
   };
+  static constexpr uint32_t kNotIndexed = UINT32_MAX;
 
   void RecordAccess(FrameId f);
-  void SetPriority(FrameId f, double priority);
   FrameId PickVictim();  // kNoFrame when everything is pinned
   void LruUnlink(FrameId f);
   void LruPushMru(FrameId f);
+  IndexEntry ExactEntry(FrameId f) const {
+    return IndexEntry{frames_[f].priority, frames_[f].heap_stamp, f};
+  }
+  void IndexInsert(FrameId f);
+  void IndexErase(FrameId f);
+  // Move `e` into the hole at `pos` towards the root / the leaves,
+  // shifting entries it passes and keeping index_pos_ in step.
+  void SiftUp(uint32_t pos, IndexEntry e);
+  void SiftDown(uint32_t pos, IndexEntry e);
 
   size_t capacity_;
   ReplacementPolicy policy_;
@@ -148,21 +179,17 @@ class BufferPool {
   std::vector<FrameId> frame_of_;
   size_t resident_ = 0;
 
-  // Context-sensitive state: access clock + lazy min-heap over priorities.
+  // Context-sensitive state: access clock, stamp counter and the victim
+  // index (min-heap of lower-bound entries; index_pos_[f] is frame f's
+  // slot in index_, kNotIndexed when resident-and-pinned or free).
   double access_clock_ = 0;
   uint64_t next_stamp_ = 1;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
+  std::vector<IndexEntry> index_;
+  std::vector<uint32_t> index_pos_;
 
   // LRU state.
   FrameId lru_head_ = kNoFrame;  // least recently used
   FrameId lru_tail_ = kNoFrame;  // most recently used
-
-  // PickVictim scratch: pinned entries popped while hunting for an
-  // unpinned frame, restored afterwards. Reused across calls to avoid a
-  // per-eviction allocation.
-  std::vector<HeapEntry> pinned_stash_;
 
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
