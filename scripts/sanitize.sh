@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Sanitizer gate: builds the scenario loader, its tests and semclust_run
-# under AddressSanitizer + UndefinedBehaviorSanitizer, runs scenario_test
-# and util_test, dry-runs every committed scenario, and feeds semclust_run
-# inputs that used to crash or run silently wrong. Each of those must exit
-# 2 with an InvalidArgument message.
+# Sanitizer gate: builds the scenario loader, its tests, the shard-layer
+# tests and semclust_run under AddressSanitizer + UndefinedBehaviorSanitizer,
+# runs scenario_test, util_test and sharding_test (which builds, migrates
+# and runs N-shard models, so shard ownership is exercised end to end),
+# dry-runs every committed scenario, and feeds semclust_run inputs that
+# used to crash or run silently wrong. Each of those must exit 2 with an
+# InvalidArgument message.
 #
 #   ./scripts/sanitize.sh            # build tree: build-san/
 #   BUILD=/tmp/san ./scripts/sanitize.sh
@@ -15,13 +17,14 @@ BUILD="${BUILD:-${ROOT}/build-san}"
 cmake -S "${ROOT}" -B "${BUILD}" -DCMAKE_BUILD_TYPE=Debug \
   -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${BUILD}" -j "$(nproc)" \
-  --target scenario_test util_test semclust_run
+  --target scenario_test util_test sharding_test semclust_run
 
 export ASAN_OPTIONS="abort_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
 "${BUILD}/tests/scenario_test"
 "${BUILD}/tests/util_test"
+"${BUILD}/tests/sharding_test"
 
 RUN="${BUILD}/tools/semclust_run"
 for f in "${ROOT}"/bench/scenarios/*.scenario.json \

@@ -38,22 +38,26 @@ PrefetchGroup ComputePrefetchGroup(const obj::ObjectGraph& graph,
     case obj::RelKind::kConfiguration: {
       // The subcomponents a configuration walk is about to touch:
       // breadth-first down the composition hierarchy, a bounded number of
-      // levels and pages.
-      std::vector<obj::ObjectId> frontier{object};
+      // levels and pages. One buffer holds every level: [begin, end) is
+      // the current frontier, and the last level's children are never
+      // expanded, so they are not collected.
+      std::vector<obj::ObjectId> walk{object};
+      size_t begin = 0;
       for (int level = 0;
-           level < config_depth && !frontier.empty() &&
+           level < config_depth && begin < walk.size() &&
            group.pages.size() < max_pages;
            ++level) {
-        std::vector<obj::ObjectId> next;
-        for (obj::ObjectId o : frontier) {
-          graph.ForEachNeighbor(o, obj::RelKind::kConfiguration,
+        const size_t end = walk.size();
+        const bool expand = level + 1 < config_depth;
+        for (size_t i = begin; i < end; ++i) {
+          graph.ForEachNeighbor(walk[i], obj::RelKind::kConfiguration,
                                 obj::Direction::kDown,
                                 [&](obj::ObjectId c) {
                                   add_object(c);
-                                  next.push_back(c);
+                                  if (expand) walk.push_back(c);
                                 });
         }
-        frontier = std::move(next);
+        begin = end;
       }
       break;
     }

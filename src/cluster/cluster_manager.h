@@ -63,6 +63,20 @@ struct ClusterStats {
   /// the greedy pass plus branch-and-bound expansions for NP split).
   uint64_t split_search_steps = 0;
   double split_broken_cost = 0;
+
+  /// Field-wise sum (system-wide totals over shards).
+  ClusterStats& operator+=(const ClusterStats& o) {
+    placements += o.placements;
+    reclusterings += o.reclusterings;
+    appends += o.appends;
+    relocations += o.relocations;
+    splits += o.splits;
+    exam_reads += o.exam_reads;
+    objects_moved_by_splits += o.objects_moved_by_splits;
+    split_search_steps += o.split_search_steps;
+    split_broken_cost += o.split_broken_cost;
+    return *this;
+  }
 };
 
 /// Executes the clustering policy against storage.

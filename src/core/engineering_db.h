@@ -41,11 +41,14 @@ class EngineeringDbModel {
 
   // Component access (examples, tests, and the OCT instrumentation).
   const obj::ObjectGraph& graph() const { return *ctx_.graph; }
+  // Shard 0's components: the whole server when unsharded.
   const store::StorageManager& storage() const { return *ctx_.storage; }
-  const buffer::BufferPool& buffer() const { return *ctx_.buffer; }
-  const io::IoSubsystem& io() const { return *ctx_.io; }
-  const txlog::LogManager& log() const { return *ctx_.log; }
-  const cluster::ClusterManager& cluster() const { return *ctx_.cluster; }
+  const buffer::BufferPool& buffer() const { return *shard0().buffer; }
+  const io::IoSubsystem& io() const { return *shard0().io; }
+  const txlog::LogManager& log() const { return *shard0().log; }
+  const cluster::ClusterManager& cluster() const {
+    return *shard0().cluster;
+  }
   const workload::DesignDatabase& database() const { return ctx_.db; }
   const ModelConfig& config() const { return ctx_.config; }
   const obs::MetricsRegistry& metrics() const { return ctx_.metrics; }
@@ -56,6 +59,8 @@ class EngineeringDbModel {
   ServerContext& context() { return ctx_; }
 
  private:
+  const Shard& shard0() const { return ctx_.shards->shard(0); }
+
   ServerContext ctx_;
   TxnPipeline pipeline_;
   MeasurementController measurement_;

@@ -5,6 +5,53 @@
 
 namespace oodb::core {
 
+namespace {
+
+/// System-wide component counters, summed over every shard in shard
+/// order; utilisations are means over shards. With shards = 1 these are
+/// the single server's own values. Run() and SyncComponentMetrics() both
+/// read this one pass.
+struct ShardTotals {
+  uint64_t buf_hits = 0, buf_misses = 0, buf_evictions = 0;
+  uint64_t buf_dirty_evictions = 0;
+  uint64_t io[io::kNumIoCategories] = {};
+  uint64_t log_records = 0, log_before_images = 0, log_flushes = 0;
+  uint64_t pages = 0;
+  cluster::ClusterStats cluster;
+  double disk_util = 0, cpu_util = 0;
+
+  uint64_t io_of(io::IoCategory c) const {
+    return io[static_cast<int>(c)];
+  }
+};
+
+ShardTotals SumShards(const ShardedContext& shards) {
+  ShardTotals t;
+  const int n = shards.num_shards();
+  for (int s = 0; s < n; ++s) {
+    const Shard& shard = shards.shard(s);
+    t.buf_hits += shard.buffer->hits();
+    t.buf_misses += shard.buffer->misses();
+    t.buf_evictions += shard.buffer->evictions();
+    t.buf_dirty_evictions += shard.buffer->dirty_evictions();
+    for (int c = 0; c < io::kNumIoCategories; ++c) {
+      t.io[c] += shard.io->physical_count(static_cast<io::IoCategory>(c));
+    }
+    t.log_records += shard.log->records_appended();
+    t.log_before_images += shard.log->before_images();
+    t.log_flushes += shard.log->flush_count();
+    t.pages += shard.storage->page_count();
+    t.cluster += shard.cluster->stats();
+    t.disk_util += shard.io->MeanUtilization();
+    t.cpu_util += shard.cpu->Utilization();
+  }
+  t.disk_util /= static_cast<double>(n);
+  t.cpu_util /= static_cast<double>(n);
+  return t;
+}
+
+}  // namespace
+
 MeasurementController::MeasurementController(ServerContext& context,
                                              TxnPipeline& pipeline)
     : ctx_(context), pipeline_(pipeline) {
@@ -27,11 +74,11 @@ void MeasurementController::ResetMeasurementCounters() {
   // the single iteration resets the server's own components — exactly
   // the pre-sharding sequence.
   for (int s = 0; s < ctx_.shards->num_shards(); ++s) {
-    const ShardView& v = ctx_.shards->view(s);
-    v.io->ResetCounters();
-    v.buffer->ResetCounters();
-    v.log->ResetCounters();
-    v.cluster->ResetStats();
+    const Shard& shard = ctx_.shards->shard(s);
+    shard.io->ResetCounters();
+    shard.buffer->ResetCounters();
+    shard.log->ResetCounters();
+    shard.cluster->ResetStats();
   }
   ctx_.shards->ResetCounters();
   ctx_.metrics.ResetValues();
@@ -112,6 +159,11 @@ sim::Task MeasurementController::RunOneArrival(int user) {
     open_session_left_[static_cast<size_t>(user)] = gen.BeginSession();
   }
   --open_session_left_[static_cast<size_t>(user)];
+  co_await RunNextTransaction(gen);
+}
+
+sim::Task MeasurementController::RunNextTransaction(
+    workload::TransactionSource& gen) {
   const workload::TransactionSpec spec = gen.NextTransaction();
   const uint64_t reads_before = pipeline_.logical_reads();
   const uint64_t writes_before = pipeline_.logical_writes();
@@ -148,14 +200,7 @@ sim::Task MeasurementController::UserLoop(int user) {
       co_await sim::Delay(ctx_.sim,
                           think_rng.Exponential(ctx_.config.think_time_s));
       if (done_) break;
-      const workload::TransactionSpec spec = gen.NextTransaction();
-      const uint64_t reads_before = pipeline_.logical_reads();
-      const uint64_t writes_before = pipeline_.logical_writes();
-      const double start = ctx_.sim.now();
-      co_await pipeline_.ExecuteTransaction(spec);
-      gen.RecordOps(pipeline_.logical_reads() - reads_before,
-                    pipeline_.logical_writes() - writes_before);
-      OnTransactionDone(ctx_.sim.now() - start, spec.type);
+      co_await RunNextTransaction(gen);
     }
   }
 }
@@ -172,50 +217,23 @@ void MeasurementController::SyncComponentMetrics() {
   // shard; with shards = 1 the single iteration reads the server's own
   // components, so names, registration order, and values are exactly the
   // pre-sharding mirror's.
-  const int n = ctx_.shards->num_shards();
-  uint64_t buf_hits = 0, buf_misses = 0, buf_evict = 0, buf_dirty = 0;
-  uint64_t io_cat[io::kNumIoCategories] = {};
-  uint64_t log_records = 0, log_before = 0, log_flushes = 0;
-  cluster::ClusterStats cs;
-  double disk_util = 0, cpu_util = 0;
-  for (int s = 0; s < n; ++s) {
-    const ShardView& v = ctx_.shards->view(s);
-    buf_hits += v.buffer->hits();
-    buf_misses += v.buffer->misses();
-    buf_evict += v.buffer->evictions();
-    buf_dirty += v.buffer->dirty_evictions();
-    for (int c = 0; c < io::kNumIoCategories; ++c) {
-      io_cat[c] += v.io->physical_count(static_cast<io::IoCategory>(c));
-    }
-    log_records += v.log->records_appended();
-    log_before += v.log->before_images();
-    log_flushes += v.log->flush_count();
-    const cluster::ClusterStats& scs = v.cluster->stats();
-    cs.placements += scs.placements;
-    cs.reclusterings += scs.reclusterings;
-    cs.appends += scs.appends;
-    cs.relocations += scs.relocations;
-    cs.splits += scs.splits;
-    cs.exam_reads += scs.exam_reads;
-    cs.objects_moved_by_splits += scs.objects_moved_by_splits;
-    cs.split_search_steps += scs.split_search_steps;
-    cs.split_broken_cost += scs.split_broken_cost;
-    disk_util += v.io->MeanUtilization();
-    cpu_util += v.cpu->Utilization();
-  }
-  metrics.SetCounter(metrics.Counter("buffer.hits"), buf_hits);
-  metrics.SetCounter(metrics.Counter("buffer.misses"), buf_misses);
-  metrics.SetCounter(metrics.Counter("buffer.evictions"), buf_evict);
-  metrics.SetCounter(metrics.Counter("buffer.dirty_evictions"), buf_dirty);
+  const ShardTotals t = SumShards(*ctx_.shards);
+  metrics.SetCounter(metrics.Counter("buffer.hits"), t.buf_hits);
+  metrics.SetCounter(metrics.Counter("buffer.misses"), t.buf_misses);
+  metrics.SetCounter(metrics.Counter("buffer.evictions"), t.buf_evictions);
+  metrics.SetCounter(metrics.Counter("buffer.dirty_evictions"),
+                     t.buf_dirty_evictions);
   for (int c = 0; c < io::kNumIoCategories; ++c) {
     const auto cat = static_cast<io::IoCategory>(c);
     metrics.SetCounter(
         metrics.Counter(std::string("io.") + io::IoCategoryName(cat)),
-        io_cat[c]);
+        t.io[c]);
   }
-  metrics.SetCounter(metrics.Counter("log.records"), log_records);
-  metrics.SetCounter(metrics.Counter("log.before_images"), log_before);
-  metrics.SetCounter(metrics.Counter("log.flushes"), log_flushes);
+  metrics.SetCounter(metrics.Counter("log.records"), t.log_records);
+  metrics.SetCounter(metrics.Counter("log.before_images"),
+                     t.log_before_images);
+  metrics.SetCounter(metrics.Counter("log.flushes"), t.log_flushes);
+  const cluster::ClusterStats& cs = t.cluster;
   metrics.SetCounter(metrics.Counter("cluster.placements"), cs.placements);
   metrics.SetCounter(metrics.Counter("cluster.reclusterings"),
                      cs.reclusterings);
@@ -233,17 +251,15 @@ void MeasurementController::SyncComponentMetrics() {
                      ctx_.sim.events_processed());
   metrics.SetCounter(metrics.Counter("sim.events_scheduled"),
                      ctx_.sim.events_scheduled());
-  metrics.Set(metrics.Gauge("io.mean_disk_utilization"),
-              disk_util / static_cast<double>(n));
-  metrics.Set(metrics.Gauge("cpu.utilization"),
-              cpu_util / static_cast<double>(n));
+  metrics.Set(metrics.Gauge("io.mean_disk_utilization"), t.disk_util);
+  metrics.Set(metrics.Gauge("cpu.utilization"), t.cpu_util);
   metrics.Set(metrics.Gauge("sim.duration_s"), ctx_.sim.now());
   if (ctx_.shards->sharded()) {
     // Per-shard mirrors plus the cross-shard traffic counters, registered
     // only when sharded so every single-server snapshot layout committed
     // before this subsystem existed is untouched.
-    for (int s = 0; s < n; ++s) {
-      const ShardView& v = ctx_.shards->view(s);
+    for (int s = 0; s < ctx_.shards->num_shards(); ++s) {
+      const Shard& v = ctx_.shards->shard(s);
       const std::string p = "shard" + std::to_string(s) + ".";
       metrics.SetCounter(metrics.Counter(p + "buffer.hits"),
                          v.buffer->hits());
@@ -259,10 +275,8 @@ void MeasurementController::SyncComponentMetrics() {
                   v.io->MeanUtilization());
       metrics.Set(metrics.Gauge(p + "cpu.utilization"),
                   v.cpu->Utilization());
-      if (v.nic != nullptr) {
-        metrics.Set(metrics.Gauge(p + "nic.utilization"),
-                    v.nic->Utilization());
-      }
+      metrics.Set(metrics.Gauge(p + "nic.utilization"),
+                  v.nic->Utilization());
     }
     const ShardedContext::Counters& sc = ctx_.shards->counters();
     metrics.SetCounter(metrics.Counter("shard.local_fetches"),
@@ -327,47 +341,26 @@ RunResult MeasurementController::Run() {
   result.transactions = measured_txns_;
   result.logical_reads = pipeline_.logical_reads();
   result.logical_writes = pipeline_.logical_writes();
-  // Physical counters are summed over every shard; with shards = 1 the
-  // single iteration reads the server's own components, value for value
-  // the pre-sharding assembly.
-  const int num_shards = ctx_.shards->num_shards();
-  uint64_t buf_hits = 0, buf_accesses = 0;
-  for (int s = 0; s < num_shards; ++s) {
-    const ShardView& v = ctx_.shards->view(s);
-    result.data_reads += v.io->physical_count(io::IoCategory::kDataRead);
-    result.dirty_flushes +=
-        v.io->physical_count(io::IoCategory::kDirtyFlush);
-    result.log_flush_ios +=
-        v.io->physical_count(io::IoCategory::kLogWrite);
-    result.cluster_exam_reads +=
-        v.io->physical_count(io::IoCategory::kClusterRead);
-    result.prefetch_reads +=
-        v.io->physical_count(io::IoCategory::kPrefetchRead);
-    result.split_writes +=
-        v.io->physical_count(io::IoCategory::kDataWrite);
-    buf_hits += v.buffer->hits();
-    buf_accesses += v.buffer->hits() + v.buffer->misses();
-    result.log_before_images += v.log->before_images();
-    const cluster::ClusterStats& scs = v.cluster->stats();
-    result.cluster_stats.placements += scs.placements;
-    result.cluster_stats.reclusterings += scs.reclusterings;
-    result.cluster_stats.appends += scs.appends;
-    result.cluster_stats.relocations += scs.relocations;
-    result.cluster_stats.splits += scs.splits;
-    result.cluster_stats.exam_reads += scs.exam_reads;
-    result.cluster_stats.objects_moved_by_splits +=
-        scs.objects_moved_by_splits;
-    result.cluster_stats.split_search_steps += scs.split_search_steps;
-    result.cluster_stats.split_broken_cost += scs.split_broken_cost;
-    result.mean_disk_utilization += v.io->MeanUtilization();
-    result.cpu_utilization += v.cpu->Utilization();
-  }
+  // Physical counters are summed over every shard; with shards = 1 they
+  // are the single server's own, value for value the pre-sharding
+  // assembly.
+  const ShardTotals t = SumShards(*ctx_.shards);
+  result.data_reads = t.io_of(io::IoCategory::kDataRead);
+  result.dirty_flushes = t.io_of(io::IoCategory::kDirtyFlush);
+  result.log_flush_ios = t.io_of(io::IoCategory::kLogWrite);
+  result.cluster_exam_reads = t.io_of(io::IoCategory::kClusterRead);
+  result.prefetch_reads = t.io_of(io::IoCategory::kPrefetchRead);
+  result.split_writes = t.io_of(io::IoCategory::kDataWrite);
+  const uint64_t buf_accesses = t.buf_hits + t.buf_misses;
   result.buffer_hit_ratio =
       buf_accesses == 0 ? 0.0
-                        : static_cast<double>(buf_hits) /
+                        : static_cast<double>(t.buf_hits) /
                               static_cast<double>(buf_accesses);
-  result.mean_disk_utilization /= static_cast<double>(num_shards);
-  result.cpu_utilization /= static_cast<double>(num_shards);
+  result.log_before_images = t.log_before_images;
+  result.cluster_stats = t.cluster;
+  result.mean_disk_utilization = t.disk_util;
+  result.cpu_utilization = t.cpu_util;
+  result.db_pages = t.pages;
   if (ctx_.shards->sharded()) {
     const ShardedContext::Counters& sc = ctx_.shards->counters();
     result.shard_local_fetches = sc.local_fetches;
@@ -411,9 +404,6 @@ RunResult MeasurementController::Run() {
   result.prefetch_hits = ctx_.metrics.value(ctx_.handles.prefetch_hits);
   result.prefetch_wasted =
       ctx_.metrics.value(ctx_.handles.prefetch_wasted);
-  for (int s = 0; s < num_shards; ++s) {
-    result.db_pages += ctx_.shards->view(s).storage->page_count();
-  }
   result.db_objects = ctx_.graph->live_count();
   // Close the final epoch. If the warmup quota was never reached (tiny
   // smoke configs), start measurement now so the series still carries one

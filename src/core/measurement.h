@@ -47,6 +47,10 @@ class MeasurementController {
   /// stream (opening a fresh session when the previous one is spent) and
   /// executes it.
   sim::Task RunOneArrival(int user);
+  /// Draws the next transaction of `gen`'s stream, executes it, feeds the
+  /// generator its logical reads/writes and records its response time.
+  /// The draw happens before the first await.
+  sim::Task RunNextTransaction(workload::TransactionSource& gen);
   void OnTransactionDone(double response_s, workload::QueryType type);
   void ResetMeasurementCounters();
   /// Applies config.rw_ratio_schedule at an epoch boundary.

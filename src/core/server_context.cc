@@ -33,27 +33,18 @@ ServerContext::ServerContext(ModelConfig model_config)
     types = workload::RegisterCadTypes(lattice);
   }
   graph = std::make_unique<obj::ObjectGraph>(&lattice);
-  storage = std::make_unique<store::StorageManager>(
-      config.page_size_bytes, config.append_fill_fraction);
-  buffer = std::make_unique<buffer::BufferPool>(
-      config.buffer_pages, config.replacement, config.seed ^ 0xB0FFEB0FF);
   affinity = std::make_unique<cluster::AffinityModel>(&lattice);
-  cluster = std::make_unique<cluster::ClusterManager>(
-      graph.get(), storage.get(), affinity.get(), buffer.get(),
-      config.clustering);
-  io = std::make_unique<io::IoSubsystem>(sim, config.num_disks,
-                                         config.page_size_bytes,
-                                         config.disk);
-  log = std::make_unique<txlog::LogManager>(config.log_buffer_bytes,
-                                            config.page_size_bytes);
-  cpu = std::make_unique<sim::Resource>(sim, "cpu", 1);
+  // Shard 0 is the build-time server: the build places every object in
+  // its storage. The shard layer takes it over at the end.
+  Shard shard0(0, config, sim, graph.get(), affinity.get());
+  storage = shard0.storage.get();
 
   // Build the database through the policy under test. The build is the
   // accretion history of the repository (or the OCB bulk load), not part
   // of the measured run.
   if (config.ocb.enabled) {
-    ocb::OcbBuilder builder(graph.get(), cluster.get(), buffer.get(),
-                            config.ocb);
+    ocb::OcbBuilder builder(graph.get(), shard0.cluster.get(),
+                            shard0.buffer.get(), config.ocb);
     ocb_catalog = std::make_unique<ocb::OcbCatalog>(
         builder.Build(ocb_schema, config.seed ^ 0xDBDBDB));
     db = std::move(ocb_catalog->db);
@@ -63,8 +54,8 @@ ServerContext::ServerContext(ModelConfig model_config)
     spec.density = config.workload.density;
     spec.concurrent_streams = config.num_users;
     spec.seed = config.seed ^ 0xDBDBDB;
-    workload::DbBuilder builder(graph.get(), cluster.get(), buffer.get(),
-                                spec);
+    workload::DbBuilder builder(graph.get(), shard0.cluster.get(),
+                                shard0.buffer.get(), spec);
     db = builder.Build(types);
   }
   OODB_CHECK(!db.modules.empty());
@@ -72,27 +63,24 @@ ServerContext::ServerContext(ModelConfig model_config)
   if (config.static_reorganize_after_build) {
     // The DBA's offline alternative: quiesce and repack the whole
     // database by affinity (paper §2.1's static clustering).
-    cluster::StaticClusterer reorganizer(graph.get(), storage.get(),
+    cluster::StaticClusterer reorganizer(graph.get(), storage,
                                          affinity.get());
     reorganizer.Reorganize();
   }
 
-  // Observability is attached only now: the build phase above is the
-  // repository's accretion history, not part of the run, and its page
-  // traffic would otherwise flood the trace ring before the first
-  // transaction. The sink is disabled (capacity 0) unless SEMCLUST_TRACE
-  // is set, so these calls cost two compares per event when tracing is off.
-  buffer->set_trace(&trace);
-  io->set_trace(&trace);
-  log->set_trace(&trace);
-  cluster->set_trace(&trace);
-
+  // Observability is attached only after the build: the build phase
+  // above is the repository's accretion history, not part of the run, and
+  // its page traffic would otherwise flood the trace ring before the first
+  // transaction. The shard layer attaches the trace to every shard once
+  // it has partitioned the database. The sink is disabled (capacity 0)
+  // unless SEMCLUST_TRACE is set, so tracing costs two compares per event
+  // when off.
+  //
   // Telemetry rides the same after-the-build attachment rule: the sampler
   // starts at the warmup/measured boundary. Its pre-sample hook (which
   // re-syncs the mirrored component counters) is installed by the
   // MeasurementController, the layer that owns the mirroring.
-  auditor = std::make_unique<obs::PlacementAuditor>(graph.get(),
-                                                    storage.get());
+  auditor = std::make_unique<obs::PlacementAuditor>(graph.get(), storage);
   if (config.telemetry_audit_placement) {
     sampler.set_placement_auditor(auditor.get());
   }
@@ -113,7 +101,7 @@ ServerContext::ServerContext(ModelConfig model_config)
         std::make_unique<dyn::AccessTracker>(config.clustering.dynamic);
     dyn_policy = dyn::MakeReclusterPolicy(config.clustering.dynamic);
     dyn_reorganizer =
-        std::make_unique<dyn::Reorganizer>(graph.get(), storage.get());
+        std::make_unique<dyn::Reorganizer>(graph.get(), storage);
     dyn_handles.triggers = metrics.Counter("dyn.triggers");
     dyn_handles.units = metrics.Counter("dyn.units");
     dyn_handles.objects_moved = metrics.Counter("dyn.objects_moved");
@@ -169,9 +157,9 @@ ServerContext::ServerContext(ModelConfig model_config)
 
   // The shard layer comes last: placement must see the final built (and
   // possibly statically reorganised) graph, and migration re-places
-  // objects through the per-shard cluster managers. With shards == 1 this
-  // allocates nothing beyond the alias views.
-  shards = std::make_unique<ShardedContext>(*this);
+  // objects through the per-shard cluster managers. With shards == 1 it
+  // only takes over shard 0.
+  shards = std::make_unique<ShardedContext>(*this, std::move(shard0));
 }
 
 ServerContext::~ServerContext() = default;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "buffer/buffer_pool.h"
 #include "buffer/prefetcher.h"
 #include "cc/lock_manager.h"
 #include "cluster/cluster_manager.h"
@@ -13,7 +12,6 @@
 #include "dyn/access_tracker.h"
 #include "dyn/recluster_policy.h"
 #include "dyn/reorganizer.h"
-#include "io/io_subsystem.h"
 #include "objmodel/inheritance.h"
 #include "objmodel/object_graph.h"
 #include "obs/metrics.h"
@@ -22,10 +20,8 @@
 #include "obs/span_profiler.h"
 #include "obs/time_series.h"
 #include "obs/trace_sink.h"
-#include "sim/resource.h"
 #include "sim/simulator.h"
 #include "storage/storage_manager.h"
-#include "txlog/log_manager.h"
 #include "workload/transaction_source.h"
 #include "workload/workload_gen.h"
 
@@ -102,13 +98,11 @@ class ServerContext {
   obj::TypeLattice lattice;
   workload::CadTypes types{};
   std::unique_ptr<obj::ObjectGraph> graph;
-  std::unique_ptr<store::StorageManager> storage;
-  std::unique_ptr<buffer::BufferPool> buffer;
   std::unique_ptr<cluster::AffinityModel> affinity;
-  std::unique_ptr<cluster::ClusterManager> cluster;
-  std::unique_ptr<io::IoSubsystem> io;
-  std::unique_ptr<txlog::LogManager> log;
-  std::unique_ptr<sim::Resource> cpu;
+  /// Shard 0's storage: the build-time store, which holds every object
+  /// until the shard layer partitions them. Non-owning — `shards` owns
+  /// every shard's components.
+  store::StorageManager* storage = nullptr;
   workload::DesignDatabase db;
   /// Extents and inheritance entry points of the OCB graph; null unless
   /// `config.ocb.enabled` (its DesignDatabase part is moved into `db`).
@@ -136,11 +130,11 @@ class ServerContext {
   /// metrics, and draws no random numbers.
   std::unique_ptr<cc::LockManager> locks;
 
-  /// The shard placement layer (DESIGN.md §15). Always constructed (last,
-  /// after the database build and static reorganisation, so placement
-  /// sees the final graph); with `config.shards == 1` it is a pure alias
-  /// of the components above and the run is bit-identical to the
-  /// pre-sharding model.
+  /// Every shard's component set plus the placement layer (DESIGN.md
+  /// §15). Always constructed (last, after the database build and static
+  /// reorganisation, so placement sees the final graph); with
+  /// `config.shards == 1` it holds shard 0 alone and the run is
+  /// bit-identical to the pre-sharding model.
   std::unique_ptr<ShardedContext> shards;
 
   CoreMetricHandles handles;

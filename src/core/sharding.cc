@@ -4,13 +4,8 @@
 #include <string>
 #include <utility>
 
-#include "buffer/buffer_pool.h"
-#include "cluster/cluster_manager.h"
+#include "core/model_config.h"
 #include "core/server_context.h"
-#include "io/io_subsystem.h"
-#include "sim/resource.h"
-#include "storage/storage_manager.h"
-#include "txlog/log_manager.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -38,20 +33,30 @@ const char* ShardPlacementName(ShardPlacement p) {
   return "unknown";
 }
 
-/// Components owned per shard. Shard 0 reuses the ServerContext's own
-/// component set (only the NIC lives here); shards 1..N-1 own a full set,
-/// wired exactly like the ServerContext wires shard 0's.
-struct ShardedContext::ShardState {
-  std::unique_ptr<store::StorageManager> storage;
-  std::unique_ptr<buffer::BufferPool> buffer;
-  std::unique_ptr<cluster::ClusterManager> cluster;
-  std::unique_ptr<io::IoSubsystem> io;
-  std::unique_ptr<txlog::LogManager> log;
-  std::unique_ptr<sim::Resource> cpu;
-  std::unique_ptr<sim::Resource> nic;
-};
+Shard::Shard(int shard_index, const ModelConfig& config,
+             sim::Simulator& sim, obj::ObjectGraph* graph,
+             cluster::AffinityModel* affinity)
+    : index(shard_index) {
+  const std::string prefix = "shard" + std::to_string(index) + ".";
+  storage = std::make_unique<store::StorageManager>(
+      config.page_size_bytes, config.append_fill_fraction);
+  buffer = std::make_unique<buffer::BufferPool>(
+      config.buffer_pages, config.replacement,
+      (config.seed ^ 0xB0FFEB0FF) +
+          static_cast<uint64_t>(index) * 0x9E3779B97F4A7C15ull);
+  cluster = std::make_unique<cluster::ClusterManager>(
+      graph, storage.get(), affinity, buffer.get(), config.clustering);
+  io = std::make_unique<io::IoSubsystem>(sim, config.num_disks,
+                                         config.page_size_bytes, config.disk);
+  log = std::make_unique<txlog::LogManager>(config.log_buffer_bytes,
+                                            config.page_size_bytes);
+  cpu = std::make_unique<sim::Resource>(sim, prefix + "cpu", 1);
+  if (config.shards > 1) {
+    nic = std::make_unique<sim::Resource>(sim, prefix + "nic", 1);
+  }
+}
 
-ShardedContext::ShardedContext(ServerContext& ctx)
+ShardedContext::ShardedContext(ServerContext& ctx, Shard shard0)
     : ctx_(ctx),
       placement_(ctx.config.shard_placement),
       hop_latency_s_(ctx.config.shard_hop_latency_s),
@@ -59,69 +64,28 @@ ShardedContext::ShardedContext(ServerContext& ctx)
   const ModelConfig& config = ctx.config;
   const int n = config.shards;
   OODB_CHECK_GE(n, 1);
+  OODB_CHECK_EQ(shard0.index, 0);
 
-  ShardView base;
-  base.shard = 0;
-  base.storage = ctx.storage.get();
-  base.buffer = ctx.buffer.get();
-  base.cluster = ctx.cluster.get();
-  base.io = ctx.io.get();
-  base.log = ctx.log.get();
-  base.cpu = ctx.cpu.get();
-  views_.push_back(base);
-  if (n == 1) return;  // pure alias layer: nothing allocated, no NIC
-
-  states_.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    auto state = std::make_unique<ShardState>();
-    const std::string prefix = "shard" + std::to_string(s) + ".";
-    state->nic = std::make_unique<sim::Resource>(ctx.sim, prefix + "nic", 1);
-    if (s == 0) {
-      views_[0].nic = state->nic.get();
-      states_.push_back(std::move(state));
-      continue;
-    }
-    state->storage = std::make_unique<store::StorageManager>(
-        config.page_size_bytes, config.append_fill_fraction);
-    // Each shard's pool draws from its own stream; the golden-ratio
-    // stride keeps shard seeds distinct for every base seed.
-    state->buffer = std::make_unique<buffer::BufferPool>(
-        config.buffer_pages, config.replacement,
-        (config.seed ^ 0xB0FFEB0FF) +
-            static_cast<uint64_t>(s) * 0x9E3779B97F4A7C15ull);
-    state->cluster = std::make_unique<cluster::ClusterManager>(
-        ctx.graph.get(), state->storage.get(), ctx.affinity.get(),
-        state->buffer.get(), config.clustering);
-    state->io = std::make_unique<io::IoSubsystem>(
-        ctx.sim, config.num_disks, config.page_size_bytes, config.disk);
-    state->log = std::make_unique<txlog::LogManager>(
-        config.log_buffer_bytes, config.page_size_bytes);
-    state->cpu = std::make_unique<sim::Resource>(ctx.sim, prefix + "cpu", 1);
-
-    ShardView v;
-    v.shard = s;
-    v.storage = state->storage.get();
-    v.buffer = state->buffer.get();
-    v.cluster = state->cluster.get();
-    v.io = state->io.get();
-    v.log = state->log.get();
-    v.cpu = state->cpu.get();
-    v.nic = state->nic.get();
-    views_.push_back(v);
-    states_.push_back(std::move(state));
+  shards_.reserve(static_cast<size_t>(n));
+  shards_.push_back(std::move(shard0));
+  for (int s = 1; s < n; ++s) {
+    shards_.emplace_back(s, config, ctx.sim, ctx.graph.get(),
+                         ctx.affinity.get());
+  }
+  if (n > 1) {
+    assigned_bytes_.assign(static_cast<size_t>(n), 0);
+    ComputeOwners();
+    MigrateToOwners();
   }
 
-  assigned_bytes_.assign(static_cast<size_t>(n), 0);
-  ComputeOwners();
-  MigrateToOwners();
-
-  // Same after-the-build attachment rule as the ServerContext: migration
-  // is part of database construction, not the run.
-  for (int s = 1; s < n; ++s) {
-    views_[static_cast<size_t>(s)].buffer->set_trace(&ctx.trace);
-    views_[static_cast<size_t>(s)].io->set_trace(&ctx.trace);
-    views_[static_cast<size_t>(s)].log->set_trace(&ctx.trace);
-    views_[static_cast<size_t>(s)].cluster->set_trace(&ctx.trace);
+  // Same after-the-build attachment rule as the rest of the ServerContext's
+  // observability: migration is part of database construction, not the
+  // run, and nothing touches shard 0's traced components in between.
+  for (Shard& shard : shards_) {
+    shard.buffer->set_trace(&ctx.trace);
+    shard.io->set_trace(&ctx.trace);
+    shard.log->set_trace(&ctx.trace);
+    shard.cluster->set_trace(&ctx.trace);
   }
 }
 
@@ -216,22 +180,23 @@ void ShardedContext::MigrateToOwners() {
   // simulated cost (the DbBuilder's placements don't either); the reports
   // are dropped. Shard 0 keeps its build-time pages untouched.
   const obj::ObjectGraph& graph = *ctx_.graph;
+  store::StorageManager& build_storage = *shards_[0].storage;
   for (obj::ObjectId id = 0; id < owner_.size(); ++id) {
     if (!graph.IsLive(id) || owner_[id] == 0) continue;
-    if (!ctx_.storage->IsPlaced(id)) continue;
-    OODB_CHECK(ctx_.storage->Erase(id).ok());
-    const ShardView& v = views_[owner_[id]];
-    const cluster::PlacementReport report = v.cluster->PlaceNew(id);
+    if (!build_storage.IsPlaced(id)) continue;
+    OODB_CHECK(build_storage.Erase(id).ok());
+    const cluster::PlacementReport report =
+        shards_[owner_[id]].cluster->PlaceNew(id);
     OODB_CHECK(report.page != store::kInvalidPage);
   }
   for (int s = 1; s < num_shards(); ++s) {
-    views_[static_cast<size_t>(s)].cluster->ResetStats();
+    shards_[static_cast<size_t>(s)].cluster->ResetStats();
   }
 }
 
-const ShardView& ShardedContext::AssignNew(obj::ObjectId id,
-                                           obj::ObjectId parent) {
-  if (!sharded()) return views_[0];
+const Shard& ShardedContext::AssignNew(obj::ObjectId id,
+                                       obj::ObjectId parent) {
+  if (!sharded()) return shards_[0];
   const int s = placement_ == ShardPlacement::kHashShard
                     ? HashOwner(id, num_shards())
                     : OwnerOf(parent);
@@ -241,7 +206,7 @@ const ShardView& ShardedContext::AssignNew(obj::ObjectId id,
     assigned_bytes_[static_cast<size_t>(s)] +=
         ctx_.graph->object(id).size_bytes;
   }
-  return views_[static_cast<size_t>(s)];
+  return shards_[static_cast<size_t>(s)];
 }
 
 }  // namespace oodb::core

@@ -5,7 +5,16 @@
 #include <memory>
 #include <vector>
 
+#include "buffer/buffer_pool.h"
+#include "cluster/affinity.h"
+#include "cluster/cluster_manager.h"
+#include "io/io_subsystem.h"
+#include "objmodel/object_graph.h"
 #include "objmodel/object_id.h"
+#include "sim/resource.h"
+#include "sim/simulator.h"
+#include "storage/storage_manager.h"
+#include "txlog/log_manager.h"
 
 /// \file
 /// The shard-placement layer (DESIGN.md §15): one simulated system is N
@@ -24,34 +33,17 @@
 /// owner shard, and a response hop on the owner NIC, metered as the span
 /// phase `remote_fetch_wait`.
 ///
-/// Hard invariant: with `shards = 1` the ShardedContext is a pure alias
-/// layer over the single server's components — it allocates no per-shard
-/// state, registers no metrics, draws no random numbers, and awaits
-/// nothing, so every single-server run is bit-identical to the
-/// pre-sharding model (the fig5.1 rtol-0 gate enforces this).
-
-namespace oodb::buffer {
-class BufferPool;
-}
-namespace oodb::cluster {
-class ClusterManager;
-}
-namespace oodb::io {
-class IoSubsystem;
-}
-namespace oodb::sim {
-class Resource;
-}
-namespace oodb::store {
-class StorageManager;
-}
-namespace oodb::txlog {
-class LogManager;
-}
+/// Every shard, shard 0 included, is one `Shard`: the same component set
+/// built by the same constructor. Hard invariant: with `shards = 1` the
+/// single shard allocates no NIC, the layer registers no metrics, draws no
+/// random numbers, and awaits nothing, so every single-server run is
+/// bit-identical to the pre-sharding model (the fig5.1 rtol-0 gate
+/// enforces this).
 
 namespace oodb::core {
 
 class ServerContext;
+struct ModelConfig;
 
 /// How objects are partitioned across shards.
 enum class ShardPlacement : uint8_t {
@@ -75,58 +67,68 @@ inline constexpr ShardPlacement kAllShardPlacements[] = {
 /// Canonical display name: "Hash_Shard" / "Structure_Shard".
 const char* ShardPlacementName(ShardPlacement p);
 
-/// One shard's component set, as the transaction pipeline sees it. For
-/// shard 0 the pointers alias the ServerContext's own components; shards
-/// 1..N-1 point at state the ShardedContext owns. `nic` is null when the
-/// model runs unsharded (N = 1) — no hop is ever charged then.
-struct ShardView {
-  int shard = 0;
-  store::StorageManager* storage = nullptr;
-  buffer::BufferPool* buffer = nullptr;
-  cluster::ClusterManager* cluster = nullptr;
-  io::IoSubsystem* io = nullptr;
-  txlog::LogManager* log = nullptr;
-  sim::Resource* cpu = nullptr;
-  sim::Resource* nic = nullptr;
+/// One shard's component set (paper §4, Figure 4.1/4.2): storage, buffer
+/// pool, cluster manager, disks, log and CPU, plus a NIC when the model
+/// runs sharded. The ServerContext builds shard 0 before the database
+/// build (the build places every object there); the ShardedContext builds
+/// shards 1..N-1 through the same constructor and owns all N.
+struct Shard {
+  /// Wires shard `shard_index` of `config.shards`. Every shard's pool
+  /// draws from its own stream,
+  /// `(seed ^ 0xB0FFEB0FF) + shard_index * 0x9E3779B97F4A7C15`:
+  /// the golden-ratio stride keeps shard seeds distinct for every base
+  /// seed. The NIC exists only when `config.shards > 1`.
+  Shard(int shard_index, const ModelConfig& config, sim::Simulator& sim,
+        obj::ObjectGraph* graph, cluster::AffinityModel* affinity);
+
+  int index = 0;
+  std::unique_ptr<store::StorageManager> storage;
+  std::unique_ptr<buffer::BufferPool> buffer;
+  std::unique_ptr<cluster::ClusterManager> cluster;
+  std::unique_ptr<io::IoSubsystem> io;
+  std::unique_ptr<txlog::LogManager> log;
+  std::unique_ptr<sim::Resource> cpu;
+  /// Null when the model runs unsharded (N = 1): no hop is ever charged.
+  std::unique_ptr<sim::Resource> nic;
 };
 
-/// Owns the N-shard generalisation of one ServerContext: the per-shard
-/// component sets, the object-to-shard owner map, and the cross-shard
+/// Owns the N-shard generalisation of one ServerContext: every shard's
+/// component set, the object-to-shard owner map, and the cross-shard
 /// reference counters. Constructed unconditionally (N >= 1) by the
 /// ServerContext, after the database build and optional static
-/// reorganisation; with N > 1 it computes the placement and migrates
-/// every object owned by shards 1..N-1 out of the build-time storage.
+/// reorganisation, taking ownership of the build-time `shard0`; with
+/// N > 1 it builds shards 1..N-1, computes the placement and migrates
+/// every object owned by shards 1..N-1 out of shard 0's storage. Trace
+/// attachment happens here, once for every shard, after partitioning.
 class ShardedContext {
  public:
-  explicit ShardedContext(ServerContext& ctx);
+  ShardedContext(ServerContext& ctx, Shard shard0);
   ~ShardedContext();
 
   ShardedContext(const ShardedContext&) = delete;
   ShardedContext& operator=(const ShardedContext&) = delete;
 
-  int num_shards() const { return static_cast<int>(views_.size()); }
-  bool sharded() const { return views_.size() > 1; }
+  int num_shards() const { return static_cast<int>(shards_.size()); }
+  bool sharded() const { return shards_.size() > 1; }
 
-  const ShardView& view(int shard) const {
-    return views_[static_cast<size_t>(shard)];
-  }
+  const Shard& shard(int s) const { return shards_[static_cast<size_t>(s)]; }
 
   /// Owning shard of `id` (0 when unsharded, or for ids the map has never
   /// seen — kInvalidObject targets route to shard 0 harmlessly).
   int OwnerOf(obj::ObjectId id) const {
-    if (views_.size() == 1) return 0;
+    if (shards_.size() == 1) return 0;
     return id < owner_.size() ? owner_[id] : 0;
   }
 
-  const ShardView& HomeOf(obj::ObjectId id) const {
-    return views_[static_cast<size_t>(OwnerOf(id))];
+  const Shard& HomeOf(obj::ObjectId id) const {
+    return shards_[static_cast<size_t>(OwnerOf(id))];
   }
 
   /// Routes a newly created object: hash placement hashes the new id,
   /// structure placement co-locates it with `parent` (the object it was
-  /// created attached to). Returns the owning shard's view. Deterministic
-  /// and RNG-free; a no-op alias of shard 0 when unsharded.
-  const ShardView& AssignNew(obj::ObjectId id, obj::ObjectId parent);
+  /// created attached to). Returns the owning shard. Deterministic and
+  /// RNG-free; shard 0, untouched, when unsharded.
+  const Shard& AssignNew(obj::ObjectId id, obj::ObjectId parent);
 
   /// Network hop latency for one direction of a cross-shard reference.
   double hop_latency_s() const { return hop_latency_s_; }
@@ -151,12 +153,11 @@ class ShardedContext {
   }
 
  private:
-  struct ShardState;  // components owned for shards 1..N-1, NICs for all
-
   void ComputeOwners();
-  /// Moves every live object owned by shards 1..N-1 from the build-time
-  /// storage into its owner's storage through the owner's cluster manager
-  /// (so the clustering policy under test shapes each shard's layout).
+  /// Moves every live object owned by shards 1..N-1 from shard 0's
+  /// (build-time) storage into its owner's storage through the owner's
+  /// cluster manager (so the clustering policy under test shapes each
+  /// shard's layout).
   void MigrateToOwners();
   int LeastLoadedShard() const;
 
@@ -165,8 +166,7 @@ class ShardedContext {
   double hop_latency_s_ = 0;
   int group_cap_ = 1;
 
-  std::vector<std::unique_ptr<ShardState>> states_;
-  std::vector<ShardView> views_;
+  std::vector<Shard> shards_;
   std::vector<uint8_t> owner_;  // per ObjectId; shards are capped at 64
   std::vector<uint64_t> assigned_bytes_;
   Counters counters_;

@@ -51,7 +51,7 @@ sim::Task TxnPipeline::LockObject(TxnCc* lk, obj::ObjectId id,
   }
 }
 
-sim::Task TxnPipeline::RollbackTransaction(const ShardView& home,
+sim::Task TxnPipeline::RollbackTransaction(const Shard& home,
                                            txlog::TxnId txn,
                                            obs::SpanRecorder* prof) {
   // The attempt's locks are still held (strict 2PL releases only after
@@ -68,7 +68,7 @@ sim::Task TxnPipeline::RollbackTransaction(const ShardView& home,
   }
 }
 
-sim::Task TxnPipeline::ChargeCpu(const ShardView& at, double instructions,
+sim::Task TxnPipeline::ChargeCpu(const Shard& at, double instructions,
                                  obs::SpanRecorder* prof) {
   const double t0 = ctx_.sim.now();
   co_await at.cpu->Use(instructions / (ctx_.config.cpu_mips * 1e6));
@@ -82,7 +82,7 @@ sim::Task TxnPipeline::ChargeCpu(const ShardView& at, double instructions,
   }
 }
 
-sim::Task TxnPipeline::ChargeLogFlushes(const ShardView& home, int flushes,
+sim::Task TxnPipeline::ChargeLogFlushes(const Shard& home, int flushes,
                                         obs::SpanRecorder* prof) {
   for (int i = 0; i < flushes; ++i) {
     // The log stripe round-robins over the disks inside FlushLog, so the
@@ -115,11 +115,11 @@ void TxnPipeline::NotePrefetchDemand(int shard, store::PageId page) {
                     obs::TraceEventType::kPrefetchHit, page);
 }
 
-sim::Task TxnPipeline::FetchPage(const ShardView& at, store::PageId page,
+sim::Task TxnPipeline::FetchPage(const Shard& at, store::PageId page,
                                  obs::SpanRecorder* prof, bool pin) {
   OODB_CHECK_NE(page, store::kInvalidPage);
-  NotePrefetchDemand(at.shard, page);
-  const uint64_t key = PrefetchKey(at.shard, page);
+  NotePrefetchDemand(at.index, page);
+  const uint64_t key = PrefetchKey(at.index, page);
   if (inflight_.find(key) != inflight_.end()) {
     // A prefetch for this page is on the disk: join it rather than issuing
     // a duplicate read.
@@ -152,7 +152,7 @@ sim::Task TxnPipeline::FetchPage(const ShardView& at, store::PageId page,
     }
   }
   const auto fix = at.buffer->Fix(page);
-  NotePrefetchEviction(at.shard, fix);
+  NotePrefetchEviction(at.index, fix);
   // Pin before any suspension: concurrent processes may otherwise evict
   // the frame while this one waits on the disk.
   if (pin) at.buffer->Pin(page);
@@ -182,8 +182,8 @@ sim::Task TxnPipeline::FetchPage(const ShardView& at, store::PageId page,
   if (latched) ctx_.locks->ReleaseLatch(key);
 }
 
-sim::Task TxnPipeline::FetchPageRouted(const ShardView& home,
-                                       const ShardView& at,
+sim::Task TxnPipeline::FetchPageRouted(const Shard& home,
+                                       const Shard& at,
                                        store::PageId page,
                                        obs::SpanRecorder* prof, bool pin) {
   if (!ctx_.shards->sharded()) {
@@ -191,7 +191,7 @@ sim::Task TxnPipeline::FetchPageRouted(const ShardView& home,
     co_return;
   }
   ShardedContext::Counters& counters = ctx_.shards->counters();
-  if (at.shard == home.shard) {
+  if (at.index == home.index) {
     ++counters.local_fetches;
     co_await FetchPage(at, page, prof, pin);
     co_return;
@@ -212,13 +212,13 @@ sim::Task TxnPipeline::FetchPageRouted(const ShardView& home,
   }
   ctx_.trace.Record(obs::Subsystem::kCore,
                     obs::TraceEventType::kRemoteFetch, page,
-                    static_cast<uint64_t>(home.shard),
-                    static_cast<uint64_t>(at.shard),
+                    static_cast<uint64_t>(home.index),
+                    static_cast<uint64_t>(at.index),
                     ctx_.sim.now() - t0);
 }
 
-void TxnPipeline::StartPrefetch(const ShardView& at, store::PageId page) {
-  const uint64_t key = PrefetchKey(at.shard, page);
+void TxnPipeline::StartPrefetch(const Shard& at, store::PageId page) {
+  const uint64_t key = PrefetchKey(at.index, page);
   if (inflight_.find(key) != inflight_.end()) return;
   inflight_.emplace(key, std::vector<std::coroutine_handle<>>{});
   prefetched_unused_.insert(key);
@@ -226,13 +226,13 @@ void TxnPipeline::StartPrefetch(const ShardView& at, store::PageId page) {
   ctx_.trace.Record(obs::Subsystem::kBuffer,
                     obs::TraceEventType::kPrefetchIssue, page);
   at.io->ReadAsync(page, io::IoCategory::kPrefetchRead,
-                   [this, shard = at.shard, page] {
+                   [this, shard = at.index, page] {
                      OnPrefetchComplete(shard, page);
                    });
 }
 
 void TxnPipeline::OnPrefetchComplete(int shard, store::PageId page) {
-  const ShardView& at = ctx_.shards->view(shard);
+  const Shard& at = ctx_.shards->shard(shard);
   const auto fix = at.buffer->Fix(page);
   NotePrefetchEviction(shard, fix);
   if (!fix.hit && fix.evicted_dirty) {
@@ -246,7 +246,7 @@ void TxnPipeline::OnPrefetchComplete(int shard, store::PageId page) {
   for (auto h : waiters) h.resume();
 }
 
-void TxnPipeline::PostAccess(const ShardView& at, obj::ObjectId id) {
+void TxnPipeline::PostAccess(const Shard& at, obj::ObjectId id) {
   // Context-sensitive replacement: pages holding this object's structural
   // relatives gain priority (paper §2.2). Relatives owned by another
   // shard have no page in `at`'s storage and fall out naturally.
@@ -280,7 +280,7 @@ void TxnPipeline::PostAccess(const ShardView& at, obj::ObjectId id) {
   }
 }
 
-sim::Task TxnPipeline::AccessObject(const ShardView& home, obj::ObjectId id,
+sim::Task TxnPipeline::AccessObject(const Shard& home, obj::ObjectId id,
                                     obj::TypeId from_type, int nav_kind,
                                     TxnCc* lk, obs::SpanRecorder* prof) {
   if (Aborted(lk)) co_return;
@@ -295,7 +295,7 @@ sim::Task TxnPipeline::AccessObject(const ShardView& home, obj::ObjectId id,
     ctx_.affinity->RecordTraversal(from_type,
                                    static_cast<obj::RelKind>(nav_kind));
   }
-  const ShardView& at = ctx_.shards->HomeOf(id);
+  const Shard& at = ctx_.shards->HomeOf(id);
   const store::PageId page = at.storage->PageOf(id);
   if (page != store::kInvalidPage) {
     co_await FetchPageRouted(home, at, page, prof);
@@ -324,7 +324,7 @@ sim::Task TxnPipeline::AccessObject(const ShardView& home, obj::ObjectId id,
         co_await LockObject(lk, source, cc::LockMode::kShared, prof);
         if (lk->aborted) co_return;
       }
-      const ShardView& src = ctx_.shards->HomeOf(source);
+      const Shard& src = ctx_.shards->HomeOf(source);
       const store::PageId sp = src.storage->PageOf(source);
       if (sp != store::kInvalidPage) {
         co_await FetchPageRouted(home, src, sp, prof);
@@ -333,7 +333,7 @@ sim::Task TxnPipeline::AccessObject(const ShardView& home, obj::ObjectId id,
   }
 }
 
-sim::Task TxnPipeline::ReadQuery(const ShardView& home,
+sim::Task TxnPipeline::ReadQuery(const Shard& home,
                                  const workload::TransactionSpec& spec,
                                  TxnCc* lk, obs::SpanRecorder* prof) {
   const obj::ObjectId target = spec.target;
@@ -514,8 +514,8 @@ sim::Task TxnPipeline::ReadQuery(const ShardView& home,
   }
 }
 
-sim::Task TxnPipeline::LogAndDirty(const ShardView& home,
-                                   const ShardView& at, txlog::TxnId txn,
+sim::Task TxnPipeline::LogAndDirty(const Shard& home,
+                                   const Shard& at, txlog::TxnId txn,
                                    store::PageId page, uint32_t object_size,
                                    obs::SpanRecorder* prof) {
   ++logical_writes_;
@@ -538,7 +538,7 @@ sim::Task TxnPipeline::LogAndDirty(const ShardView& home,
                             prof);
 }
 
-sim::Task TxnPipeline::WriteObject(const ShardView& home, txlog::TxnId txn,
+sim::Task TxnPipeline::WriteObject(const Shard& home, txlog::TxnId txn,
                                    obj::ObjectId id, TxnCc* lk,
                                    obs::SpanRecorder* prof) {
   if (Aborted(lk)) co_return;
@@ -548,9 +548,9 @@ sim::Task TxnPipeline::WriteObject(const ShardView& home, txlog::TxnId txn,
   }
   // Object-level write that tolerates concurrent deletion: resolves the
   // page and size only if the object is still live and placed.
-  const ShardView& at = ctx_.shards->HomeOf(id);
+  const Shard& at = ctx_.shards->HomeOf(id);
   if (ctx_.graph->IsLive(id) && at.storage->IsPlaced(id)) {
-    if (ctx_.shards->sharded() && at.shard != home.shard) {
+    if (ctx_.shards->sharded() && at.index != home.index) {
       ++ctx_.shards->counters().remote_writes;
     }
     co_await LogAndDirty(home, at, txn, at.storage->PageOf(id),
@@ -564,14 +564,14 @@ sim::Task TxnPipeline::WriteObject(const ShardView& home, txlog::TxnId txn,
 }
 
 sim::Task TxnPipeline::ChargeExamReads(
-    const ShardView& at, const cluster::PlacementReport& report,
+    const Shard& at, const cluster::PlacementReport& report,
     obs::SpanRecorder* prof) {
   // Candidate pages examined on disk: demand reads charged to the writer,
   // and the pages enter the examining shard's buffer pool (they were just
   // read there).
   for (store::PageId p : report.exam_reads) {
     const auto fix = at.buffer->Fix(p);
-    NotePrefetchEviction(at.shard, fix);
+    NotePrefetchEviction(at.index, fix);
     if (!fix.hit) {
       if (fix.evicted_dirty) {
         const double t0 = ctx_.sim.now();
@@ -595,8 +595,8 @@ sim::Task TxnPipeline::ChargeExamReads(
   }
 }
 
-sim::Task TxnPipeline::ChargeSplit(const ShardView& home,
-                                   const ShardView& at, txlog::TxnId txn,
+sim::Task TxnPipeline::ChargeSplit(const Shard& home,
+                                   const Shard& at, txlog::TxnId txn,
                                    const cluster::PlacementReport& report,
                                    obs::SpanRecorder* prof) {
   co_await ChargeCpu(
@@ -607,7 +607,7 @@ sim::Task TxnPipeline::ChargeSplit(const ShardView& home,
       prof);
   // The newly allocated page is flushed and the change logged
   // (paper §5.1.2: one extra I/O plus one extra log record).
-  NotePrefetchEviction(at.shard, at.buffer->Fix(report.split_new_page));
+  NotePrefetchEviction(at.index, at.buffer->Fix(report.split_new_page));
   at.buffer->MarkDirty(report.split_new_page);
   const double t0 = ctx_.sim.now();
   co_await at.io->Write(report.split_new_page, io::IoCategory::kDataWrite);
@@ -624,8 +624,8 @@ sim::Task TxnPipeline::ChargeSplit(const ShardView& home,
       prof);
 }
 
-sim::Task TxnPipeline::ChargePlacement(const ShardView& home,
-                                       const ShardView& at, txlog::TxnId txn,
+sim::Task TxnPipeline::ChargePlacement(const Shard& home,
+                                       const Shard& at, txlog::TxnId txn,
                                        const cluster::PlacementReport& report,
                                        obj::ObjectId placed,
                                        obs::SpanRecorder* prof) {
@@ -636,7 +636,7 @@ sim::Task TxnPipeline::ChargePlacement(const ShardView& home,
                        at.storage->SizeOf(placed), prof);
 }
 
-sim::Task TxnPipeline::ReclusterAfterStructureChange(const ShardView& home,
+sim::Task TxnPipeline::ReclusterAfterStructureChange(const Shard& home,
                                                      txlog::TxnId txn,
                                                      obj::ObjectId id,
                                                      TxnCc* lk,
@@ -654,7 +654,7 @@ sim::Task TxnPipeline::ReclusterAfterStructureChange(const ShardView& home,
   }
   // Reclustering is a per-shard affair: the owner's cluster manager
   // reconsiders the placement within the owner's own pages.
-  const ShardView& at = ctx_.shards->HomeOf(id);
+  const Shard& at = ctx_.shards->HomeOf(id);
   if (!ctx_.graph->IsLive(id) || !at.storage->IsPlaced(id)) co_return;
   co_await ChargeCpu(at, ctx_.config.cluster_decision_instructions, prof);
   const auto report = at.cluster->Recluster(id);
@@ -671,7 +671,7 @@ sim::Task TxnPipeline::ReclusterAfterStructureChange(const ShardView& home,
   }
 }
 
-sim::Task TxnPipeline::WriteQuery(const ShardView& home,
+sim::Task TxnPipeline::WriteQuery(const Shard& home,
                                   const workload::TransactionSpec& spec,
                                   txlog::TxnId txn, TxnCc* lk,
                                   obs::SpanRecorder* prof) {
@@ -761,7 +761,7 @@ sim::Task TxnPipeline::WriteQuery(const ShardView& home,
       // The new object is routed by the placement policy (hash of its id,
       // or its parent's shard under Structure_Shard), then placed by the
       // owner's cluster manager.
-      const ShardView& at = ctx_.shards->AssignNew(child, target);
+      const Shard& at = ctx_.shards->AssignNew(child, target);
       const auto report = at.cluster->PlaceNew(child);
       co_await ChargePlacement(home, at, txn, report, child, prof);
       module.objects.push_back(child);
@@ -778,7 +778,7 @@ sim::Task TxnPipeline::WriteQuery(const ShardView& home,
       }
       const auto derived =
           obj::DeriveVersion(*ctx_.graph, target, ctx_.inherit_model);
-      const ShardView& at = ctx_.shards->AssignNew(derived.heir, target);
+      const Shard& at = ctx_.shards->AssignNew(derived.heir, target);
       const auto report = at.cluster->PlaceNew(derived.heir);
       co_await ChargePlacement(home, at, txn, report, derived.heir, prof);
       module.objects.push_back(derived.heir);
@@ -800,7 +800,7 @@ sim::Task TxnPipeline::WriteQuery(const ShardView& home,
       if (Aborted(lk)) co_return;
       // Re-check after the awaits: a concurrent transaction may have
       // deleted the object first.
-      const ShardView& at = ctx_.shards->HomeOf(target);
+      const Shard& at = ctx_.shards->HomeOf(target);
       if (ctx_.graph->IsLive(target) && at.storage->IsPlaced(target)) {
         OODB_CHECK(at.storage->Erase(target).ok());
         ctx_.graph->Remove(target);
@@ -818,7 +818,7 @@ sim::Task TxnPipeline::WriteQuery(const ShardView& home,
       }
       co_await WriteObject(home, txn, target, lk, prof);
       if (Aborted(lk)) co_return;
-      const ShardView& at = ctx_.shards->HomeOf(target);
+      const Shard& at = ctx_.shards->HomeOf(target);
       if (ctx_.graph->IsLive(target) && at.storage->IsPlaced(target)) {
         OODB_CHECK(at.storage->Erase(target).ok());
         ctx_.graph->Remove(target);
@@ -828,7 +828,7 @@ sim::Task TxnPipeline::WriteQuery(const ShardView& home,
   }
 }
 
-sim::Task TxnPipeline::MaybeReorganize(const ShardView& home,
+sim::Task TxnPipeline::MaybeReorganize(const Shard& home,
                                        txlog::TxnId txn, TxnCc* lk,
                                        obs::SpanRecorder* prof) {
   dyn::AccessTracker& tracker = *ctx_.dyn_tracker;
@@ -896,7 +896,7 @@ sim::Task TxnPipeline::MaybeReorganize(const ShardView& home,
     // disk through the ordinary dirty-flush path.
     for (const store::PageId page : result.pages_touched) {
       const auto fix = home.buffer->Fix(page);
-      NotePrefetchEviction(home.shard, fix);
+      NotePrefetchEviction(home.index, fix);
       home.buffer->Pin(page);
       if (!fix.hit) {
         co_await ChargeCpu(home, ctx_.config.physical_io_instructions,
@@ -945,7 +945,7 @@ sim::Task TxnPipeline::ExecuteTransaction(
   // The transaction's session lives on its target's shard: CPU for
   // logical operations, log records, and the commit force all land there.
   // With shards = 1 (or an invalid target) this is the single server.
-  const ShardView& home = ctx_.shards->HomeOf(spec.target);
+  const Shard& home = ctx_.shards->HomeOf(spec.target);
   // The recorder lives in this coroutine's frame: transactions interleave
   // at every await, so per-transaction recording state cannot be a
   // pipeline member. Disabled (null profiler) it allocates nothing and

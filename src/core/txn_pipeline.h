@@ -24,14 +24,13 @@
 /// transactions from the outside.
 ///
 /// Sharding (DESIGN.md §15) threads through this layer as frame-local
-/// ShardView references, never pipeline state: a transaction executes on
-/// the *home* shard of its target (session CPU, log records, commit
-/// forces), and each object access resolves its owner's view and routes
-/// the page work there — through FetchPageRouted, which charges the
-/// cross-shard hop cost when owner != home. With `shards = 1` every view
-/// is the same alias of the single server's components, the routing
-/// branch never fires, and the execution is bit-identical to the
-/// pre-sharding pipeline.
+/// `const Shard&` references, never pipeline state: a transaction
+/// executes on the *home* shard of its target (session CPU, log records,
+/// commit forces), and each object access resolves its owner shard and
+/// routes the page work there — through FetchPageRouted, which charges
+/// the cross-shard hop cost when owner != home. With `shards = 1` every
+/// reference is shard 0, the routing branch never fires, and the
+/// execution is bit-identical to the pre-sharding pipeline.
 ///
 /// Concurrency control (DESIGN.md §16) threads the same way: a
 /// frame-local TxnCc pointer (`lk`, null when `ModelConfig::cc` is off)
@@ -70,8 +69,8 @@ class TxnPipeline {
   // time of each of its awaits to one phase of the additive taxonomy
   // (DESIGN.md §14). The recorder lives in ExecuteTransaction's coroutine
   // frame — transactions interleave at every await, so it cannot be
-  // pipeline state — and is threaded down by pointer. ShardView
-  // references ride the same way: `home` is the transaction's session
+  // pipeline state — and is threaded down by pointer. Shard references
+  // ride the same way: `home` is the transaction's session
   // shard, `at` the shard whose components execute the page work.
 
   /// Frame-local concurrency state of one transaction *attempt*,
@@ -102,55 +101,55 @@ class TxnPipeline {
   /// record. Physical re-organisation (splits, reclustering moves) is
   /// not undone — like real schema-modification operations, placement
   /// changes are orthogonal to logical atomicity.
-  sim::Task RollbackTransaction(const ShardView& home, txlog::TxnId txn,
+  sim::Task RollbackTransaction(const Shard& home, txlog::TxnId txn,
                                 obs::SpanRecorder* prof);
 
   // Read-side primitives.
-  sim::Task AccessObject(const ShardView& home, obj::ObjectId id,
+  sim::Task AccessObject(const Shard& home, obj::ObjectId id,
                          obj::TypeId from_type, int nav_kind, TxnCc* lk,
                          obs::SpanRecorder* prof);
   /// Makes `page` resident in `at`'s pool, charging `at`'s I/O. With
   /// `pin`, the page is pinned before any suspension and stays pinned on
   /// return (caller unpins) — required when the caller mutates the frame
   /// after the awaits.
-  sim::Task FetchPage(const ShardView& at, store::PageId page,
+  sim::Task FetchPage(const Shard& at, store::PageId page,
                       obs::SpanRecorder* prof, bool pin = false);
   /// FetchPage routed across shards: local when `at` is `home`'s shard,
   /// otherwise a request hop on home's NIC, the fetch on `at`, and a
   /// response hop back — the whole remote interval recorded as one
   /// `remote_fetch_wait` leaf (the inner fetch runs unprofiled so the
   /// span taxonomy stays additive).
-  sim::Task FetchPageRouted(const ShardView& home, const ShardView& at,
+  sim::Task FetchPageRouted(const Shard& home, const Shard& at,
                             store::PageId page, obs::SpanRecorder* prof,
                             bool pin = false);
-  sim::Task ReadQuery(const ShardView& home,
+  sim::Task ReadQuery(const Shard& home,
                       const workload::TransactionSpec& spec, TxnCc* lk,
                       obs::SpanRecorder* prof);
 
   // Write-side primitives.
-  sim::Task WriteQuery(const ShardView& home,
+  sim::Task WriteQuery(const Shard& home,
                        const workload::TransactionSpec& spec,
                        txlog::TxnId txn, TxnCc* lk,
                        obs::SpanRecorder* prof);
-  sim::Task LogAndDirty(const ShardView& home, const ShardView& at,
+  sim::Task LogAndDirty(const Shard& home, const Shard& at,
                         txlog::TxnId txn, store::PageId page,
                         uint32_t object_size, obs::SpanRecorder* prof);
   /// Object-level write that tolerates concurrent deletion of `id`.
-  sim::Task WriteObject(const ShardView& home, txlog::TxnId txn,
+  sim::Task WriteObject(const Shard& home, txlog::TxnId txn,
                         obj::ObjectId id, TxnCc* lk,
                         obs::SpanRecorder* prof);
-  sim::Task ChargeExamReads(const ShardView& at,
+  sim::Task ChargeExamReads(const Shard& at,
                             const cluster::PlacementReport& report,
                             obs::SpanRecorder* prof);
-  sim::Task ChargeSplit(const ShardView& home, const ShardView& at,
+  sim::Task ChargeSplit(const Shard& home, const Shard& at,
                         txlog::TxnId txn,
                         const cluster::PlacementReport& report,
                         obs::SpanRecorder* prof);
-  sim::Task ChargePlacement(const ShardView& home, const ShardView& at,
+  sim::Task ChargePlacement(const Shard& home, const Shard& at,
                             txlog::TxnId txn,
                             const cluster::PlacementReport& report,
                             obj::ObjectId placed, obs::SpanRecorder* prof);
-  sim::Task ReclusterAfterStructureChange(const ShardView& home,
+  sim::Task ReclusterAfterStructureChange(const Shard& home,
                                           txlog::TxnId txn,
                                           obj::ObjectId id, TxnCc* lk,
                                           obs::SpanRecorder* prof);
@@ -161,18 +160,18 @@ class TxnPipeline {
   /// log record to this transaction on the virtual clock. Only called
   /// when a dynamic policy is enabled (which Validate rejects for
   /// shards > 1, so `home` is always the single server here).
-  sim::Task MaybeReorganize(const ShardView& home, txlog::TxnId txn,
+  sim::Task MaybeReorganize(const Shard& home, txlog::TxnId txn,
                             TxnCc* lk, obs::SpanRecorder* prof);
 
-  sim::Task ChargeCpu(const ShardView& at, double instructions,
+  sim::Task ChargeCpu(const Shard& at, double instructions,
                       obs::SpanRecorder* prof);
-  sim::Task ChargeLogFlushes(const ShardView& home, int flushes,
+  sim::Task ChargeLogFlushes(const Shard& home, int flushes,
                              obs::SpanRecorder* prof);
 
   // Buffer-semantics hooks (boosts + prefetch) after an object access,
   // against the components of the shard that holds the object.
-  void PostAccess(const ShardView& at, obj::ObjectId id);
-  void StartPrefetch(const ShardView& at, store::PageId page);
+  void PostAccess(const Shard& at, obj::ObjectId id);
+  void StartPrefetch(const Shard& at, store::PageId page);
   void OnPrefetchComplete(int shard, store::PageId page);
 
   /// Prefetch bookkeeping key: pages live per shard, so the maps below

@@ -103,6 +103,13 @@ struct PlacementSample {
 /// stopped once 4096 objects are marked. A capped walk's page count
 /// depends on the order children are visited in, so the index keeps the
 /// graph's edge order (DESIGN.md §9).
+///
+/// Known defect: the auditor reads one StorageManager. The core hands it
+/// shard 0's, so with shards > 1 a sample covers shard 0 only: objects
+/// owned by other shards count as live but unplaced, and pages that
+/// migration drained count as empty (at 8 Hash shards in
+/// BENCH_ocb_shard.jsonl, 694 of 6,012 live objects placed and 232 of
+/// 513 pages empty). See DESIGN.md §15.
 class PlacementAuditor {
  public:
   PlacementAuditor(const obj::ObjectGraph* graph,

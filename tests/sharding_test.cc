@@ -173,7 +173,7 @@ ModelConfig ShardTestConfig(int shards, ShardPlacement placement) {
 }
 
 TEST(ShardingModelTest, SingleShardIsBitIdenticalAcrossInertShardKnobs) {
-  // With shards = 1 the placement layer must be a pure alias: changing the
+  // With shards = 1 the placement layer must be inert: changing the
   // placement policy, hop latency, or group cap cannot perturb a single
   // simulated event or RNG draw.
   ModelConfig a = TestConfig();
@@ -194,6 +194,72 @@ TEST(ShardingModelTest, SingleShardIsBitIdenticalAcrossInertShardKnobs) {
   EXPECT_EQ(ra.shard_local_fetches, 0u);
   EXPECT_EQ(ra.shard_remote_fetches, 0u);
   EXPECT_EQ(ra.remote_fetch_fraction, 0.0);
+}
+
+/// Every live object sits in exactly one shard's storage, and that shard
+/// is its owner. Returns the number of live objects checked.
+size_t ExpectEveryObjectOnItsOwner(const ServerContext& ctx) {
+  const ShardedContext& shards = *ctx.shards;
+  size_t live = 0;
+  for (obj::ObjectId id = 0; id < ctx.graph->size(); ++id) {
+    if (!ctx.graph->IsLive(id)) continue;
+    ++live;
+    int placed_on = -1;
+    int copies = 0;
+    for (int s = 0; s < shards.num_shards(); ++s) {
+      if (shards.shard(s).storage->IsPlaced(id)) {
+        placed_on = s;
+        ++copies;
+      }
+    }
+    EXPECT_EQ(copies, 1) << "object " << id;
+    EXPECT_EQ(placed_on, shards.OwnerOf(id)) << "object " << id;
+  }
+  return live;
+}
+
+TEST(ShardingModelTest, EveryObjectIsPlacedOnExactlyItsOwnerShard) {
+  for (ShardPlacement placement : kAllShardPlacements) {
+    SCOPED_TRACE(ShardPlacementName(placement));
+    ModelConfig cfg = ShardTestConfig(4, placement);
+    cfg.workload.read_write_ratio = 2;  // enough inserts to route new ids
+    EngineeringDbModel model(cfg);
+    const ServerContext& ctx = model.context();
+    ASSERT_EQ(ctx.shards->num_shards(), 4);
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_EQ(ctx.shards->shard(s).index, s);
+      EXPECT_NE(ctx.shards->shard(s).nic, nullptr);
+    }
+    EXPECT_EQ(ctx.storage, ctx.shards->shard(0).storage.get());
+    EXPECT_GT(ExpectEveryObjectOnItsOwner(ctx), 0u);
+
+    // After a run with writes, objects created by inserts and derived
+    // versions (routed by AssignNew) obey the same rule.
+    const size_t ids_before = ctx.graph->size();
+    const RunResult r = model.Run();
+    ASSERT_GT(r.logical_writes, 0u);
+    EXPECT_GT(ctx.graph->size(), ids_before);
+    ExpectEveryObjectOnItsOwner(ctx);
+  }
+}
+
+TEST(ShardingModelTest, SingleShardHasNoNicAndNoShardMetrics) {
+  ModelConfig cfg = TestConfig();
+  cfg.workload.read_write_ratio = 2;
+  EngineeringDbModel model(cfg);
+  const ServerContext& ctx = model.context();
+  ASSERT_EQ(ctx.shards->num_shards(), 1);
+  EXPECT_FALSE(ctx.shards->sharded());
+  EXPECT_EQ(ctx.shards->shard(0).nic, nullptr);
+  const RunResult r = model.Run();
+  ASSERT_FALSE(r.metrics.empty());
+  const auto unprefixed = [](const std::string& name) {
+    EXPECT_NE(name.rfind("shard", 0), 0u) << name;
+  };
+  for (const auto& [name, value] : r.metrics.counters) unprefixed(name);
+  for (const auto& [name, value] : r.metrics.gauges) unprefixed(name);
+  for (const auto& [name, value] : r.metrics.histograms) unprefixed(name);
+  ExpectEveryObjectOnItsOwner(ctx);
 }
 
 TEST(ShardingModelTest, MultiShardRunRoutesAndCountsRemoteFetches) {
