@@ -1,7 +1,8 @@
 // Component micro-benchmarks on google-benchmark: the cost of the core
 // mechanisms — buffer-pool fixes per replacement policy, page splitting at
-// several graph sizes, the event kernel, candidate scoring, and the
-// workload RNG. These are engineering baselines, not paper figures.
+// several graph sizes, the event kernel, candidate scoring, the lock
+// manager, the DSTC access tracker, and the workload RNG. These are
+// engineering baselines, not paper figures.
 
 #include <benchmark/benchmark.h>
 
@@ -10,10 +11,12 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "cc/lock_manager.h"
 #include "sim/event_calendar.h"
 #include "cluster/affinity.h"
 #include "cluster/cluster_manager.h"
 #include "cluster/page_splitter.h"
+#include "dyn/access_tracker.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -199,6 +202,70 @@ void BM_ResourceRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_ResourceRoundTrip);
+
+// ------------------------------------------------------------ cc
+
+// One write-path transaction's lock traffic, uncontended: a page latch
+// acquired and released, eight shared locks and one exclusive lock on
+// keys drawn from 4096, then strict-2PL release of all of them. Each
+// transaction runs as a spawned coroutine, as TxnPipeline's do.
+void BM_LockLatchCycle(benchmark::State& state) {
+  sim::Simulator sim;
+  cc::CcConfig cfg;
+  cfg.enabled = true;
+  cc::LockManager lm(sim, cfg);
+  Rng rng(37);
+  std::vector<cc::LockKey> keys(1 << 16);
+  for (cc::LockKey& k : keys) k = rng.NextBelow(4096);
+  size_t next = 0;
+  cc::TxnId txn = 0;
+  for (auto _ : state) {
+    sim::Spawn([](cc::LockManager& m, cc::TxnId t, const cc::LockKey* k)
+                   -> sim::Task {
+      co_await m.AcquireLatch(k[0]);
+      m.ReleaseLatch(k[0]);
+      for (int i = 0; i < 8; ++i) {
+        co_await m.Acquire(t, k[i], cc::LockMode::kShared);
+      }
+      co_await m.Acquire(t, k[8], cc::LockMode::kExclusive);
+      m.ReleaseAll(t);
+    }(lm, ++txn, &keys[next]));
+    next = (next + 9) % (keys.size() - 9);
+  }
+  benchmark::DoNotOptimize(lm.stats().lock_grants);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LockLatchCycle);
+
+// ------------------------------------------------------------ dyn
+
+// DSTC statistics at oct_write's settings (observation period 64,
+// trigger 4, default caps): one iteration is one transaction of a root
+// and ten zipf-drawn reads over 50 000 objects, consolidating whenever the
+// period is due.
+void BM_TrackerObserveConsolidate(benchmark::State& state) {
+  dyn::DynConfig cfg;
+  cfg.policy = dyn::PolicyKind::kDstc;
+  cfg.observation_period = 64;
+  cfg.trigger_threshold = 4.0;
+  dyn::AccessTracker tracker(cfg);
+  Rng rng(41);
+  std::vector<obj::ObjectId> ids(1 << 16);
+  for (obj::ObjectId& id : ids) {
+    id = static_cast<obj::ObjectId>(rng.Zipf(50000, 0.8));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    tracker.BeginTransaction(ids[next]);
+    for (int i = 0; i < 11; ++i) tracker.Observe(ids[next + i]);
+    next = (next + 11) % (ids.size() - 11);
+    if (tracker.ConsolidationDue()) {
+      benchmark::DoNotOptimize(tracker.Consolidate());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TrackerObserveConsolidate);
 
 // --------------------------------------------------------- cluster score
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Sanitizer gate: builds the scenario loader, its tests, the shard-layer
-# tests and semclust_run under AddressSanitizer + UndefinedBehaviorSanitizer,
-# runs scenario_test, util_test and sharding_test (which builds, migrates
-# and runs N-shard models, so shard ownership is exercised end to end),
-# dry-runs every committed scenario, and feeds semclust_run inputs that
-# used to crash or run silently wrong. Each of those must exit 2 with an
-# InvalidArgument message.
+# tests, the sim/cc/dyn tests and semclust_run under AddressSanitizer +
+# UndefinedBehaviorSanitizer, runs scenario_test, util_test and
+# sharding_test (which builds, migrates and runs N-shard models, so shard
+# ownership is exercised end to end), runs sim_test, cc_test and dyn_test
+# (pooled coroutine frames, recycled lock-table nodes and the flat DSTC
+# tables all manage their own memory lifetimes), dry-runs every committed
+# scenario, and feeds semclust_run inputs that used to crash or run
+# silently wrong. Each of those must exit 2 with an InvalidArgument
+# message.
 #
 #   ./scripts/sanitize.sh            # build tree: build-san/
 #   BUILD=/tmp/san ./scripts/sanitize.sh
@@ -17,7 +20,8 @@ BUILD="${BUILD:-${ROOT}/build-san}"
 cmake -S "${ROOT}" -B "${BUILD}" -DCMAKE_BUILD_TYPE=Debug \
   -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${BUILD}" -j "$(nproc)" \
-  --target scenario_test util_test sharding_test semclust_run
+  --target scenario_test util_test sharding_test sim_test cc_test dyn_test \
+  semclust_run
 
 export ASAN_OPTIONS="abort_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
@@ -25,6 +29,9 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 "${BUILD}/tests/scenario_test"
 "${BUILD}/tests/util_test"
 "${BUILD}/tests/sharding_test"
+"${BUILD}/tests/sim_test"
+"${BUILD}/tests/cc_test"
+"${BUILD}/tests/dyn_test"
 
 RUN="${BUILD}/tools/semclust_run"
 for f in "${ROOT}"/bench/scenarios/*.scenario.json \

@@ -15,12 +15,12 @@ obj::RelKind DominantKind(const obj::ObjectGraph& graph,
   return static_cast<obj::RelKind>(best);
 }
 
-PrefetchGroup ComputePrefetchGroup(const obj::ObjectGraph& graph,
-                                   const store::StorageManager& storage,
-                                   obj::ObjectId object, AccessHint hint,
-                                   int config_depth, size_t max_pages,
-                                   obs::TraceSink* trace) {
-  PrefetchGroup group;
+const PrefetchGroup& PrefetchGrouper::Compute(
+    const obj::ObjectGraph& graph, const store::StorageManager& storage,
+    obj::ObjectId object, AccessHint hint, int config_depth,
+    size_t max_pages, obs::TraceSink* trace) {
+  PrefetchGroup& group = group_;
+  group.pages.clear();
   group.kind = hint.active ? hint.kind : DominantKind(graph, object);
 
   const store::PageId own_page = storage.PageOf(object);
@@ -41,7 +41,8 @@ PrefetchGroup ComputePrefetchGroup(const obj::ObjectGraph& graph,
       // levels and pages. One buffer holds every level: [begin, end) is
       // the current frontier, and the last level's children are never
       // expanded, so they are not collected.
-      std::vector<obj::ObjectId> walk{object};
+      std::vector<obj::ObjectId>& walk = walk_;
+      walk.assign(1, object);
       size_t begin = 0;
       for (int level = 0;
            level < config_depth && begin < walk.size() &&

@@ -27,7 +27,12 @@ struct PrefetchGroup {
   std::vector<store::PageId> pages;
 };
 
-/// Computes the prefetch group for an access to `object`.
+/// Computes prefetch groups into buffers it keeps: a caller that computes
+/// one group per access (TxnPipeline::PostAccess) allocates only while the
+/// buffers grow.
+///
+/// Compute returns the group for an access to `object`, valid until the
+/// next call.
 ///
 /// The neighbour scope per kind follows the paper: configuration brings in
 /// the subcomponents an application walking the configuration hierarchy is
@@ -39,12 +44,19 @@ struct PrefetchGroup {
 ///
 /// A non-null `trace` records one obs::TraceEventType::kPrefetchGroup
 /// event per non-empty group (relationship kind + group size).
-PrefetchGroup ComputePrefetchGroup(const obj::ObjectGraph& graph,
-                                   const store::StorageManager& storage,
-                                   obj::ObjectId object, AccessHint hint,
-                                   int config_depth = 2,
-                                   size_t max_pages = 8,
-                                   obs::TraceSink* trace = nullptr);
+class PrefetchGrouper {
+ public:
+  const PrefetchGroup& Compute(const obj::ObjectGraph& graph,
+                               const store::StorageManager& storage,
+                               obj::ObjectId object, AccessHint hint,
+                               int config_depth = 2, size_t max_pages = 8,
+                               obs::TraceSink* trace = nullptr);
+
+ private:
+  PrefetchGroup group_;
+  /// The configuration walk's frontier buffer.
+  std::vector<obj::ObjectId> walk_;
+};
 
 /// The dominant relationship kind of `object`'s effective type profile.
 obj::RelKind DominantKind(const obj::ObjectGraph& graph,

@@ -21,6 +21,17 @@ LockManager::LockManager(sim::Simulator& sim, const CcConfig& config)
 
 LockManager::~LockManager() = default;
 
+template <typename K, typename V>
+V& LockManager::RecyclingTable<K, V>::operator[](K key) {
+  auto it = map.find(key);
+  if (it != map.end()) return it->second;
+  if (spare.empty()) return map.try_emplace(key).first->second;
+  typename Map::node_type node = std::move(spare.back());
+  spare.pop_back();
+  node.key() = key;
+  return map.insert(std::move(node)).position->second;
+}
+
 bool LockManager::CompatibleWithHolders(const LockEntry& entry, TxnId txn,
                                         LockMode mode) {
   for (const Holder& h : entry.holders) {
@@ -32,14 +43,17 @@ bool LockManager::CompatibleWithHolders(const LockEntry& entry, TxnId txn,
   return true;
 }
 
-bool LockManager::Holds(TxnId txn, LockKey key, LockMode mode) const {
-  auto it = locks_.find(key);
-  if (it == locks_.end()) return false;
-  for (const Holder& h : it->second.holders) {
+bool LockManager::Covers(const LockEntry& entry, TxnId txn, LockMode mode) {
+  for (const Holder& h : entry.holders) {
     if (h.txn != txn) continue;
     return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
   }
   return false;
+}
+
+bool LockManager::Holds(TxnId txn, LockKey key, LockMode mode) const {
+  auto it = locks_.map.find(key);
+  return it != locks_.map.end() && Covers(it->second, txn, mode);
 }
 
 void LockManager::ApplyGrant(LockEntry& entry, TxnId txn, LockKey key,
@@ -57,7 +71,7 @@ void LockManager::ApplyGrant(LockEntry& entry, TxnId txn, LockKey key,
 
 bool LockManager::TryImmediateGrant(TxnId txn, LockKey key, LockMode mode) {
   LockEntry& entry = locks_[key];
-  if (Holds(txn, key, mode)) {
+  if (Covers(entry, txn, mode)) {
     ++stats_.lock_grants;
     return true;  // already covered; no queue fairness question arises
   }
@@ -73,8 +87,8 @@ bool LockManager::TryImmediateGrant(TxnId txn, LockKey key, LockMode mode) {
 }
 
 void LockManager::GrantWaiters(LockKey key) {
-  auto it = locks_.find(key);
-  if (it == locks_.end()) return;
+  auto it = locks_.map.find(key);
+  if (it == locks_.map.end()) return;
   // Collect the grantable prefix first, then resume: a resumed waiter
   // runs synchronously and may re-enter the manager (release this very
   // key, even erase the entry), so no iterator may live across a resume.
@@ -92,7 +106,7 @@ void LockManager::GrantWaiters(LockKey key) {
       resumable.push_back(w);
       entry.queue.pop_front();
     }
-    if (entry.holders.empty() && entry.queue.empty()) locks_.erase(it);
+    if (entry.holders.empty() && entry.queue.empty()) locks_.Retire(it);
   }
   for (const std::shared_ptr<Waiter>& w : resumable) w->handle.resume();
 }
@@ -102,8 +116,8 @@ void LockManager::OnTimeout(LockKey key,
   // Events cannot be cancelled in the calendar queue; a grant that beat
   // this timeout left the waiter resolved and this event is a no-op.
   if (waiter->resolved) return;
-  auto it = locks_.find(key);
-  OODB_CHECK(it != locks_.end());
+  auto it = locks_.map.find(key);
+  OODB_CHECK(it != locks_.map.end());
   LockEntry& entry = it->second;
   auto pos = std::find(entry.queue.begin(), entry.queue.end(), waiter);
   OODB_CHECK(pos != entry.queue.end());
@@ -159,26 +173,30 @@ bool LockManager::LockAwait::await_resume() {
 // ---------------------------------------------------------------------------
 
 void LockManager::ReleaseAll(TxnId txn) {
-  auto held_it = held_.find(txn);
-  if (held_it == held_.end()) return;
-  // Move the key list out: GrantWaiters resumes waiters synchronously
-  // and a resumed transaction may mutate held_ (its own acquisitions).
-  std::vector<LockKey> keys = std::move(held_it->second);
-  held_.erase(held_it);
-  for (const LockKey key : keys) {
-    auto it = locks_.find(key);
-    if (it == locks_.end()) continue;
+  auto held_it = held_.map.find(txn);
+  if (held_it == held_.map.end()) return;
+  // Take the key list's node out of the table: GrantWaiters resumes
+  // waiters synchronously and a resumed transaction may mutate held_
+  // (its own acquisitions).
+  auto held = held_.map.extract(held_it);
+  ++held_in_release_;
+  for (const LockKey key : held.mapped()) {
+    auto it = locks_.map.find(key);
+    if (it == locks_.map.end()) continue;
     LockEntry& entry = it->second;
     entry.holders.erase(
         std::remove_if(entry.holders.begin(), entry.holders.end(),
                        [txn](const Holder& h) { return h.txn == txn; }),
         entry.holders.end());
     if (entry.holders.empty() && entry.queue.empty()) {
-      locks_.erase(it);
+      locks_.Retire(it);
       continue;
     }
     GrantWaiters(key);
   }
+  held.mapped().clear();
+  held_.spare.push_back(std::move(held));
+  --held_in_release_;
 }
 
 // ---------------------------------------------------------------------------
@@ -200,12 +218,13 @@ void LockManager::LatchAwait::await_suspend(std::coroutine_handle<> h) {
 }
 
 void LockManager::ReleaseLatch(LockKey key) {
-  auto it = latches_.find(key);
-  OODB_CHECK(it != latches_.end());
+  auto it = latches_.map.find(key);
+  OODB_CHECK(it != latches_.map.end());
   LatchEntry& entry = it->second;
   OODB_CHECK(entry.held);
   if (entry.queue.empty()) {
-    latches_.erase(it);
+    entry.held = false;
+    latches_.Retire(it);
     return;
   }
   // Hand the latch to the FIFO head; it stays held across the transfer.
@@ -221,13 +240,20 @@ void LockManager::ReleaseLatch(LockKey key) {
 // ---------------------------------------------------------------------------
 
 size_t LockManager::held_count(TxnId txn) const {
-  auto it = held_.find(txn);
-  return it == held_.end() ? 0 : it->second.size();
+  auto it = held_.map.find(txn);
+  return it == held_.map.end() ? 0 : it->second.size();
 }
 
 size_t LockManager::queue_length(LockKey key) const {
-  auto it = locks_.find(key);
-  return it == locks_.end() ? 0 : it->second.queue.size();
+  auto it = locks_.map.find(key);
+  return it == locks_.map.end() ? 0 : it->second.queue.size();
+}
+
+LockManager::TableSizes LockManager::table_sizes() const {
+  return TableSizes{
+      {locks_.map.size(), locks_.spare.size()},
+      {latches_.map.size(), latches_.spare.size()},
+      {held_.map.size() + held_in_release_, held_.spare.size()}};
 }
 
 }  // namespace oodb::cc

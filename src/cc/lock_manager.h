@@ -131,8 +131,26 @@ class LockManager {
   size_t held_count(TxnId txn) const;
   size_t queue_length(LockKey key) const;
 
+  /// One table's live entries and the emptied nodes it keeps for reuse.
+  /// Spares only ever come from live entries, and a node is created only
+  /// when none is spare, so `spare` never exceeds the peak of `live`.
+  struct TableSize {
+    size_t live = 0;
+    size_t spare = 0;
+  };
+  /// The lock, latch and held-key tables (a key list that ReleaseAll is
+  /// walking counts as live).
+  struct TableSizes {
+    TableSize locks;
+    TableSize latches;
+    TableSize held;
+  };
+  TableSizes table_sizes() const;
+
  private:
   bool TryImmediateGrant(TxnId txn, LockKey key, LockMode mode);
+  /// True when `entry` has `txn` as a holder in a mode covering `mode`.
+  static bool Covers(const LockEntry& entry, TxnId txn, LockMode mode);
   /// True when `txn` may hold/receive `key` in `mode` given the current
   /// holders (ignoring `txn`'s own shared hold for upgrades).
   static bool CompatibleWithHolders(const LockEntry& entry, TxnId txn,
@@ -167,14 +185,39 @@ class LockManager {
     std::deque<std::pair<std::coroutine_handle<>, double>> queue;
   };
 
+  /// A hash table whose emptied entries are not erased but extracted
+  /// into a spare list, then re-keyed and re-inserted on the next miss.
+  /// An entry keeps what its containers allocated (a deque's map and
+  /// chunk, a vector's capacity), so steady-state acquisitions allocate
+  /// nothing. Nothing iterates the table, so node reuse cannot change
+  /// any order.
+  template <typename K, typename V>
+  struct RecyclingTable {
+    using Map = std::unordered_map<K, V>;
+    Map map;
+    std::vector<typename Map::node_type> spare;
+
+    /// The entry for `key`, created empty (from a spare when one is
+    /// left) if absent.
+    V& operator[](K key);
+    /// Moves the entry at `it`, which the caller has emptied, to the
+    /// spare list.
+    void Retire(typename Map::iterator it) {
+      spare.push_back(map.extract(it));
+    }
+  };
+
   sim::Simulator& sim_;
   CcConfig config_;
   LockStats stats_;
-  std::unordered_map<LockKey, LockEntry> locks_;
-  std::unordered_map<LockKey, LatchEntry> latches_;
+  RecyclingTable<LockKey, LockEntry> locks_;
+  RecyclingTable<LockKey, LatchEntry> latches_;
   /// Keys each transaction holds, in acquisition order — ReleaseAll walks
   /// this vector, never a hash map, so release order is deterministic.
-  std::unordered_map<TxnId, std::vector<LockKey>> held_;
+  RecyclingTable<TxnId, std::vector<LockKey>> held_;
+  /// Key lists taken out of held_ by ReleaseAll calls still running (they
+  /// nest when a resumed waiter commits synchronously).
+  size_t held_in_release_ = 0;
 };
 
 }  // namespace oodb::cc

@@ -268,7 +268,7 @@ void TxnPipeline::PostAccess(const Shard& at, obj::ObjectId id) {
       ctx_.config.clustering.use_hints
           ? buffer::AccessHint::For(ctx_.config.clustering.hint_kind)
           : buffer::AccessHint::None();
-  const auto group = buffer::ComputePrefetchGroup(
+  const buffer::PrefetchGroup& group = prefetch_grouper_.Compute(
       *ctx_.graph, *at.storage, id, hint, /*config_depth=*/2,
       /*max_pages=*/8, &ctx_.trace);
   for (store::PageId p : group.pages) {

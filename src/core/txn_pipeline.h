@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "buffer/prefetcher.h"
 #include "cc/lock_manager.h"
 #include "core/server_context.h"
 #include "core/sharding.h"
@@ -225,6 +226,10 @@ class TxnPipeline {
   // access has referenced yet: a later demand access scores a hit, an
   // eviction first scores a waste. Keyed like `inflight_`.
   std::unordered_set<uint64_t> prefetched_unused_;
+
+  // PostAccess's prefetch-group buffers. PostAccess never suspends and
+  // nothing it calls re-enters it, so one grouper serves every access.
+  buffer::PrefetchGrouper prefetch_grouper_;
 };
 
 }  // namespace oodb::core

@@ -2,6 +2,8 @@
 #define SEMCLUST_SIM_PROCESS_H_
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <utility>
 
@@ -24,12 +26,41 @@
 
 namespace oodb::sim {
 
+namespace internal {
+
+/// Coroutine frame memory. Each thread keeps free lists of frame blocks in
+/// 64-byte size classes up to 1 KiB; larger frames go straight to the
+/// global heap. A freed frame joins the freeing thread's list, so a frame
+/// may die on any thread; each list keeps at most as many blocks as its
+/// class ever had live at once on that thread, and the lists are released
+/// at thread exit (frames freed after that go back to the global heap).
+void* AllocateFrame(std::size_t size);
+void FreeFrame(void* frame, std::size_t size) noexcept;
+
+/// Base of the promise types below: their frames come from AllocateFrame.
+struct PooledFrame {
+  static void* operator new(std::size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    FreeFrame(frame, size);
+  }
+};
+
+}  // namespace internal
+
+/// The calling thread's frame-pool counters.
+struct FramePoolStats {
+  uint64_t fresh = 0;   ///< pooled-class blocks taken from the global heap
+  uint64_t reused = 0;  ///< frames served from a free list
+  uint64_t spare = 0;   ///< blocks now on the free lists
+};
+FramePoolStats ThisThreadFramePoolStats();
+
 /// A lazily-started coroutine task. Awaiting a Task starts it and resumes
 /// the awaiter when the task completes (symmetric transfer). The Task handle
 /// owns the coroutine frame.
 class [[nodiscard]] Task {
  public:
-  struct promise_type {
+  struct promise_type : internal::PooledFrame {
     std::coroutine_handle<> continuation;
 
     Task get_return_object() {
@@ -87,7 +118,7 @@ namespace internal {
 
 /// Fire-and-forget driver coroutine; its frame self-destroys on completion.
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : internal::PooledFrame {
     DetachedTask get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

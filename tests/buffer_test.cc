@@ -679,8 +679,8 @@ TEST_F(PrefetcherTest, ConfigurationGroupIsComponentPages) {
   graph_.Relate(parent, c2, obj::RelKind::kConfiguration);
   graph_.Relate(parent, c3, obj::RelKind::kConfiguration);
 
-  auto group = ComputePrefetchGroup(graph_, storage_, parent,
-                                    AccessHint::None());
+  auto group =
+      PrefetchGrouper().Compute(graph_, storage_, parent, AccessHint::None());
   EXPECT_EQ(group.kind, obj::RelKind::kConfiguration);
   std::sort(group.pages.begin(), group.pages.end());
   EXPECT_EQ(group.pages, (std::vector<PageId>{1, 2}));  // deduplicated
@@ -690,8 +690,8 @@ TEST_F(PrefetcherTest, OwnPageExcluded) {
   obj::ObjectId parent = MakePlaced(config_type_, 0);
   obj::ObjectId c1 = MakePlaced(config_type_, 0);  // co-located
   graph_.Relate(parent, c1, obj::RelKind::kConfiguration);
-  auto group = ComputePrefetchGroup(graph_, storage_, parent,
-                                    AccessHint::None());
+  auto group =
+      PrefetchGrouper().Compute(graph_, storage_, parent, AccessHint::None());
   EXPECT_TRUE(group.pages.empty());
 }
 
@@ -699,7 +699,7 @@ TEST_F(PrefetcherTest, HintOverridesTypeProfile) {
   obj::ObjectId o = MakePlaced(config_type_, 0);
   obj::ObjectId anc = MakePlaced(config_type_, 3);
   graph_.Relate(anc, o, obj::RelKind::kVersionHistory);
-  auto group = ComputePrefetchGroup(
+  auto group = PrefetchGrouper().Compute(
       graph_, storage_, o, AccessHint::For(obj::RelKind::kVersionHistory));
   EXPECT_EQ(group.kind, obj::RelKind::kVersionHistory);
   EXPECT_EQ(group.pages, (std::vector<PageId>{3}));  // immediate ancestor
@@ -711,8 +711,8 @@ TEST_F(PrefetcherTest, VersionGroupHasAncestorAndDescendants) {
   obj::ObjectId v3 = MakePlaced(version_type_, 2);
   graph_.Relate(v1, v2, obj::RelKind::kVersionHistory);
   graph_.Relate(v2, v3, obj::RelKind::kVersionHistory);
-  auto group = ComputePrefetchGroup(graph_, storage_, v2,
-                                    AccessHint::None());
+  auto group =
+      PrefetchGrouper().Compute(graph_, storage_, v2, AccessHint::None());
   std::sort(group.pages.begin(), group.pages.end());
   EXPECT_EQ(group.pages, (std::vector<PageId>{1, 2}));
 }
@@ -723,7 +723,7 @@ TEST_F(PrefetcherTest, CorrespondenceGroupSeesAllRepresentations) {
   obj::ObjectId tr = MakePlaced(config_type_, 5);
   graph_.Relate(lay, net, obj::RelKind::kCorrespondence);
   graph_.Relate(lay, tr, obj::RelKind::kCorrespondence);
-  auto group = ComputePrefetchGroup(
+  auto group = PrefetchGrouper().Compute(
       graph_, storage_, lay, AccessHint::For(obj::RelKind::kCorrespondence));
   std::sort(group.pages.begin(), group.pages.end());
   EXPECT_EQ(group.pages, (std::vector<PageId>{4, 5}));
@@ -733,9 +733,36 @@ TEST_F(PrefetcherTest, UnplacedNeighboursIgnored) {
   obj::ObjectId parent = MakePlaced(config_type_, 0);
   obj::ObjectId ghost = MakePlaced(config_type_, kInvalidPage);  // unplaced
   graph_.Relate(parent, ghost, obj::RelKind::kConfiguration);
-  auto group = ComputePrefetchGroup(graph_, storage_, parent,
-                                    AccessHint::None());
+  auto group =
+      PrefetchGrouper().Compute(graph_, storage_, parent, AccessHint::None());
   EXPECT_TRUE(group.pages.empty());
+}
+
+TEST_F(PrefetcherTest, ReusedGrouperMatchesFreshOne) {
+  // One grouper serves every access in TxnPipeline: a group must not keep
+  // pages or walk state from the previous call.
+  obj::ObjectId parent = MakePlaced(config_type_, 0);
+  obj::ObjectId c1 = MakePlaced(config_type_, 1);
+  obj::ObjectId c2 = MakePlaced(config_type_, 2);
+  obj::ObjectId g1 = MakePlaced(config_type_, 3);
+  graph_.Relate(parent, c1, obj::RelKind::kConfiguration);
+  graph_.Relate(parent, c2, obj::RelKind::kConfiguration);
+  graph_.Relate(c1, g1, obj::RelKind::kConfiguration);
+  obj::ObjectId v1 = MakePlaced(version_type_, 4);
+  obj::ObjectId v2 = MakePlaced(version_type_, 5);
+  graph_.Relate(v1, v2, obj::RelKind::kVersionHistory);
+
+  PrefetchGrouper reused;
+  for (obj::ObjectId o : {parent, v2, c1, parent, c2, v1}) {
+    const PrefetchGroup want =
+        PrefetchGrouper().Compute(graph_, storage_, o, AccessHint::None());
+    const PrefetchGroup& got =
+        reused.Compute(graph_, storage_, o, AccessHint::None());
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.pages, want.pages);
+  }
+  EXPECT_EQ(reused.Compute(graph_, storage_, parent, AccessHint::None()).pages,
+            (std::vector<PageId>{1, 2, 3}));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "obs/span_profiler.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
+#include "util/random.h"
 
 namespace oodb {
 namespace {
@@ -232,6 +234,79 @@ TEST(LockManagerTest, PageLatchesAreExclusiveFifoWithoutTimeout) {
   EXPECT_EQ(lm.stats().latch_waits, 3u);
   EXPECT_EQ(lm.stats().lock_timeouts, 0u);
   EXPECT_DOUBLE_EQ(lm.stats().latch_wait_time_s, 2.0 + 4.0 + 6.0);
+}
+
+/// Tracks the lock manager's table sizes across a run: each table's peak
+/// of live entries, and whether its spare nodes ever outnumbered it.
+struct TableWatch {
+  size_t peak_live[3] = {};
+  bool spare_over_peak = false;
+
+  void Sample(const LockManager& lm) {
+    const LockManager::TableSizes t = lm.table_sizes();
+    const LockManager::TableSize tables[3] = {t.locks, t.latches, t.held};
+    for (int i = 0; i < 3; ++i) {
+      peak_live[i] = std::max(peak_live[i], tables[i].live);
+      if (tables[i].spare > peak_live[i]) spare_over_peak = true;
+    }
+  }
+};
+
+/// One transaction of the churn test: a latch held briefly, then locks on
+/// random keys (some shared-then-exclusive upgrades) with delays between
+/// them; a timed-out request aborts and releases everything.
+sim::Task ChurnTxn(sim::Simulator& sim, LockManager& lm, cc::TxnId txn,
+                   uint64_t seed, TableWatch& watch) {
+  Rng rng(seed);
+  co_await sim::Delay(sim, rng.UniformDouble(0.0, 20.0));
+  const cc::LockKey page = 1000 + rng.NextBelow(3);
+  co_await lm.AcquireLatch(page);
+  watch.Sample(lm);
+  co_await sim::Delay(sim, 0.01);
+  lm.ReleaseLatch(page);
+  watch.Sample(lm);
+  for (int i = 0; i < 4; ++i) {
+    const cc::LockKey key = rng.NextBelow(8);
+    const bool upgrade = rng.Bernoulli(0.3);
+    const LockMode mode = upgrade || rng.Bernoulli(0.5) ? LockMode::kShared
+                                                        : LockMode::kExclusive;
+    bool granted = co_await lm.Acquire(txn, key, mode);
+    watch.Sample(lm);
+    if (granted && upgrade) {
+      co_await sim::Delay(sim, 0.05);
+      granted = co_await lm.Acquire(txn, key, LockMode::kExclusive);
+      watch.Sample(lm);
+    }
+    if (!granted) break;  // presumed abort
+    co_await sim::Delay(sim, rng.UniformDouble(0.0, 0.3));
+  }
+  lm.ReleaseAll(txn);
+  watch.Sample(lm);
+}
+
+TEST(LockManagerTest, RecycledTableNodesStayBoundedUnderChurn) {
+  sim::Simulator sim;
+  LockManager lm(sim, FastCc());
+  TableWatch watch;
+  for (cc::TxnId txn = 1; txn <= 400; ++txn) {
+    sim::Spawn(ChurnTxn(sim, lm, txn, 7 * txn, watch));
+  }
+  sim.Run();
+  watch.Sample(lm);
+  EXPECT_FALSE(watch.spare_over_peak);
+  const LockManager::TableSizes t = lm.table_sizes();
+  EXPECT_EQ(t.locks.live, 0u);
+  EXPECT_EQ(t.latches.live, 0u);
+  EXPECT_EQ(t.held.live, 0u);
+  // Emptied nodes were recycled rather than freed...
+  EXPECT_GT(t.locks.spare, 0u);
+  EXPECT_GT(t.latches.spare, 0u);
+  EXPECT_GT(t.held.spare, 0u);
+  // ...through every path that empties an entry.
+  EXPECT_GT(lm.stats().lock_waits, 0u);
+  EXPECT_GT(lm.stats().lock_timeouts, 0u);
+  EXPECT_GT(lm.stats().latch_waits, 0u);
+  EXPECT_EQ(lm.stats().latch_grants, 400u);
 }
 
 // ------------------------------------------------------------------ model

@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -9,6 +14,7 @@
 #include "objmodel/object_graph.h"
 #include "objmodel/type_system.h"
 #include "storage/storage_manager.h"
+#include "util/random.h"
 
 namespace oodb {
 namespace {
@@ -169,6 +175,242 @@ TEST(AccessTrackerTest, SameSequenceYieldsIdenticalUnits) {
     EXPECT_EQ(ua[i].heat, ub[i].heat);
     EXPECT_EQ(ua[i].members, ub[i].members);
   }
+}
+
+// ------------------------------------------- differential tracker oracle
+
+/// The tracker as it was built on two std::map tables, kept as the oracle
+/// for the flat-table AccessTracker: same public surface, same rules.
+class OracleTracker {
+ public:
+  explicit OracleTracker(const dyn::DynConfig& config) : config_(config) {}
+
+  void BeginTransaction(obj::ObjectId root) {
+    current_root_ = root;
+    ++txns_in_period_;
+  }
+
+  void Observe(obj::ObjectId id) {
+    if (id == obj::kInvalidObject) return;
+    ++observed_refs_;
+
+    auto it = heat_.find(id);
+    if (it != heat_.end()) {
+      it->second += 1.0;
+    } else if (heat_.size() <
+               static_cast<size_t>(config_.max_tracked_objects)) {
+      heat_.emplace(id, 1.0);
+    } else {
+      ++dropped_objects_;
+      return;  // untracked objects also don't create links
+    }
+
+    if (current_root_ == obj::kInvalidObject || current_root_ == id) return;
+    if (!heat_.contains(current_root_)) return;
+    const uint64_t key = LinkKey(current_root_, id);
+    auto lit = links_.find(key);
+    if (lit != links_.end()) {
+      lit->second += 1.0;
+    } else if (links_.size() <
+               static_cast<size_t>(config_.max_tracked_links)) {
+      links_.emplace(key, 1.0);
+    } else {
+      ++dropped_links_;
+    }
+  }
+
+  bool ConsolidationDue() const {
+    return txns_in_period_ >= config_.observation_period;
+  }
+
+  std::vector<dyn::ClusterUnit> Consolidate() {
+    std::vector<std::pair<double, obj::ObjectId>> anchors;
+    for (const auto& [id, h] : heat_) {
+      if (h >= config_.trigger_threshold) anchors.emplace_back(h, id);
+    }
+    std::sort(anchors.begin(), anchors.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
+
+    std::map<obj::ObjectId, std::vector<std::pair<double, obj::ObjectId>>>
+        partners;
+    for (const auto& [key, w] : links_) {
+      const auto a = static_cast<obj::ObjectId>(key >> 32);
+      const auto b = static_cast<obj::ObjectId>(key & 0xFFFFFFFFu);
+      partners[a].emplace_back(w, b);
+      partners[b].emplace_back(w, a);
+    }
+
+    std::vector<dyn::ClusterUnit> units;
+    std::set<obj::ObjectId> absorbed;
+    for (const auto& [h, anchor] : anchors) {
+      if (absorbed.contains(anchor)) continue;
+      auto pit = partners.find(anchor);
+      if (pit == partners.end()) continue;  // hot but never co-accessed
+      auto& list = pit->second;
+      std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+        if (a.first != b.first) return a.first > b.first;
+        return a.second < b.second;
+      });
+      for (size_t i = 1; i < list.size(); ++i) {
+        if (list[i - 1].first == list[i].first) ++weight_ties_;
+      }
+      dyn::ClusterUnit unit;
+      unit.anchor = anchor;
+      unit.heat = h;
+      for (const auto& [w, id] : list) {
+        if (static_cast<int>(unit.members.size()) >= config_.max_unit_size)
+          break;
+        if (absorbed.contains(id)) continue;
+        unit.members.push_back(id);
+      }
+      if (unit.members.empty()) continue;
+      absorbed.insert(anchor);
+      for (obj::ObjectId m : unit.members) absorbed.insert(m);
+      units.push_back(std::move(unit));
+    }
+
+    for (auto it = heat_.begin(); it != heat_.end();) {
+      it->second *= config_.heat_decay;
+      it = it->second < 0.5 ? heat_.erase(it) : std::next(it);
+    }
+    for (auto it = links_.begin(); it != links_.end();) {
+      it->second *= config_.heat_decay;
+      it = it->second < 0.5 ? links_.erase(it) : std::next(it);
+    }
+    txns_in_period_ = 0;
+    return units;
+  }
+
+  size_t tracked_objects() const { return heat_.size(); }
+  size_t tracked_links() const { return links_.size(); }
+  uint64_t dropped_objects() const { return dropped_objects_; }
+  uint64_t dropped_links() const { return dropped_links_; }
+  uint64_t observed_refs() const { return observed_refs_; }
+  /// Test-only addition: tied link weights inside a consulted partner list.
+  uint64_t weight_ties() const { return weight_ties_; }
+
+ private:
+  static uint64_t LinkKey(obj::ObjectId a, obj::ObjectId b) {
+    if (a > b) std::swap(a, b);
+    return (static_cast<uint64_t>(a) << 32) | b;
+  }
+
+  uint64_t weight_ties_ = 0;
+  dyn::DynConfig config_;
+  obj::ObjectId current_root_ = obj::kInvalidObject;
+  std::map<obj::ObjectId, double> heat_;
+  std::map<uint64_t, double> links_;
+  int txns_in_period_ = 0;
+  uint64_t observed_refs_ = 0;
+  uint64_t dropped_objects_ = 0;
+  uint64_t dropped_links_ = 0;
+};
+
+/// What a differential run went through, so the test can require that the
+/// sequences reached the regimes that matter.
+struct DifferentialCoverage {
+  uint64_t heat_ties = 0;    ///< adjacent units with equal anchor heat
+  uint64_t weight_ties = 0;  ///< equal link weights in a partner list
+  uint64_t dropped = 0;      ///< arrivals refused by a full table
+};
+
+/// Drives AccessTracker and OracleTracker with one seeded random call
+/// sequence and requires identical units and counters after every call.
+/// Ids come from a small pool so heat and link weights tie often; a
+/// sparse pool spreads them up to 2^31.
+void RunDifferential(const dyn::DynConfig& cfg, uint64_t seed, bool sparse,
+                     int calls, DifferentialCoverage& coverage) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + " decay " +
+               std::to_string(cfg.heat_decay) + " caps " +
+               std::to_string(cfg.max_tracked_objects) + "/" +
+               std::to_string(cfg.max_tracked_links) +
+               (sparse ? " sparse" : " dense"));
+  Rng rng(seed);
+  std::vector<obj::ObjectId> pool(48);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    pool[i] = sparse ? static_cast<obj::ObjectId>(rng.NextBelow(1ull << 31))
+                     : static_cast<obj::ObjectId>(i);
+  }
+  if (sparse) pool.back() = static_cast<obj::ObjectId>(1ull << 31);
+  const auto draw = [&] {
+    // Skewed toward the pool's head so some objects turn hot.
+    const uint64_t r = rng.NextBelow(pool.size());
+    const obj::ObjectId id = pool[rng.Bernoulli(0.5) ? r / 4 : r];
+    return rng.Bernoulli(0.02) ? obj::kInvalidObject : id;
+  };
+
+  dyn::AccessTracker tracker(cfg);
+  OracleTracker oracle(cfg);
+  int consolidations = 0;
+  for (int call = 0; call < calls; ++call) {
+    const uint64_t op = rng.NextBelow(100);
+    if (op < 12) {
+      const obj::ObjectId root = draw();
+      tracker.BeginTransaction(root);
+      oracle.BeginTransaction(root);
+    } else if (op < 96 && !oracle.ConsolidationDue()) {
+      const obj::ObjectId id = draw();
+      tracker.Observe(id);
+      oracle.Observe(id);
+    } else {
+      const auto got = tracker.Consolidate();
+      const auto want = oracle.Consolidate();
+      ++consolidations;
+      ASSERT_EQ(got.size(), want.size()) << "call " << call;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].anchor, want[i].anchor) << "call " << call;
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[i].heat),
+                  std::bit_cast<uint64_t>(want[i].heat))
+            << "call " << call;
+        ASSERT_EQ(got[i].members, want[i].members) << "call " << call;
+        if (i > 0 && want[i - 1].heat == want[i].heat) ++coverage.heat_ties;
+      }
+    }
+    ASSERT_EQ(tracker.ConsolidationDue(), oracle.ConsolidationDue());
+    ASSERT_EQ(tracker.tracked_objects(), oracle.tracked_objects())
+        << "call " << call;
+    ASSERT_EQ(tracker.tracked_links(), oracle.tracked_links())
+        << "call " << call;
+    ASSERT_EQ(tracker.dropped_objects(), oracle.dropped_objects());
+    ASSERT_EQ(tracker.dropped_links(), oracle.dropped_links());
+    ASSERT_EQ(tracker.observed_refs(), oracle.observed_refs());
+  }
+  EXPECT_GT(consolidations, 10);
+  coverage.weight_ties += oracle.weight_ties();
+  coverage.dropped += oracle.dropped_objects() + oracle.dropped_links();
+}
+
+TEST(AccessTrackerTest, MatchesMapOracleOnRandomSequences) {
+  struct Caps {
+    int objects;
+    int links;
+  };
+  uint64_t seed = 1;
+  DifferentialCoverage coverage;
+  for (const double decay : {0.0, 0.5, 0.9}) {
+    for (const Caps caps : {Caps{6, 10}, Caps{24, 40}, Caps{4096, 8192}}) {
+      for (const bool sparse : {false, true}) {
+        dyn::DynConfig cfg;
+        cfg.policy = dyn::PolicyKind::kDstc;
+        cfg.observation_period = 6;
+        cfg.heat_decay = decay;
+        cfg.max_tracked_objects = caps.objects;
+        cfg.max_tracked_links = caps.links;
+        cfg.trigger_threshold = 3.0;
+        cfg.max_unit_size = 3;
+        RunDifferential(cfg, seed++, sparse, 1500, coverage);
+        cfg.trigger_threshold = 1.0;  // every tracked object anchors
+        cfg.max_unit_size = 16;
+        RunDifferential(cfg, seed++, sparse, 1500, coverage);
+      }
+    }
+  }
+  EXPECT_GT(coverage.heat_ties, 20u);
+  EXPECT_GT(coverage.weight_ties, 1000u);
+  EXPECT_GT(coverage.dropped, 1000u);
 }
 
 // ------------------------------------------------------ recluster policies

@@ -1,7 +1,10 @@
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -338,6 +341,75 @@ TEST(ProcessTest, ZeroDelayDoesNotSuspend) {
   // Spawn runs eagerly to the first real suspension; zero delay is ready.
   ASSERT_EQ(log.size(), 1u);
   EXPECT_DOUBLE_EQ(log[0], 0.0);
+}
+
+// -------------------------------------------------------------- frame pool
+
+/// A task whose frame carries an N-byte buffer across its suspension, so
+/// the frame's size grows with N.
+template <size_t N>
+Task SizedFrame(Simulator& sim, int& sum) {
+  std::array<unsigned char, N> buf{};
+  buf[N - 1] = 1;
+  co_await Delay(sim, 1.0);
+  sum += buf[N - 1];
+}
+
+TEST(FramePoolTest, FramesOfSeveralSizesAreReused) {
+  Simulator sim;
+  int sum = 0;
+  // Three tasks live at once, in three size classes, each under a Spawn
+  // driver frame: six frames per round.
+  const auto round = [&] {
+    Spawn(SizedFrame<8>(sim, sum));
+    Spawn(SizedFrame<300>(sim, sum));
+    Spawn(SizedFrame<700>(sim, sum));
+    sim.Run();
+  };
+  round();
+  const FramePoolStats warm = ThisThreadFramePoolStats();
+  for (int i = 0; i < 50; ++i) round();
+  const FramePoolStats after = ThisThreadFramePoolStats();
+  EXPECT_EQ(sum, 51 * 3);
+  EXPECT_EQ(after.fresh, warm.fresh);
+  EXPECT_EQ(after.reused - warm.reused, 50u * 6);
+  EXPECT_EQ(after.spare, warm.spare);
+  EXPECT_GE(after.spare, 6u);
+
+  // Frames above the largest class bypass the lists.
+  Spawn(SizedFrame<4096>(sim, sum));
+  const FramePoolStats big = ThisThreadFramePoolStats();
+  EXPECT_EQ(big.fresh, after.fresh);
+  EXPECT_EQ(big.reused, after.reused + 1);  // the Spawn driver frame
+  sim.Run();
+  EXPECT_EQ(sum, 51 * 3 + 1);
+}
+
+TEST(FramePoolTest, FramesMayDieOnAnotherThread) {
+  Simulator sim;
+  int sum = 0;
+  // Created here and destroyed unstarted on a thread that never held a
+  // frame: its lists may keep nothing, so the block goes to the heap.
+  std::optional<Task> here(SizedFrame<300>(sim, sum));
+  FramePoolStats worker;
+  std::thread([&] {
+    here.reset();
+    worker = ThisThreadFramePoolStats();
+  }).join();
+  EXPECT_EQ(worker.spare, 0u);
+  EXPECT_EQ(worker.fresh, 0u);
+
+  // Created on a thread that has exited since (its lists are gone), then
+  // destroyed here.
+  std::optional<Task> orphan;
+  std::thread([&] { orphan.emplace(SizedFrame<700>(sim, sum)); }).join();
+  orphan.reset();
+
+  // Started on a worker thread and finished here: the resumption and both
+  // frames' destruction run on this thread.
+  std::thread([&] { Spawn(SizedFrame<300>(sim, sum)); }).join();
+  sim.Run();
+  EXPECT_EQ(sum, 1);
 }
 
 // ---------------------------------------------------------------- resource
