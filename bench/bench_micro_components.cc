@@ -1,8 +1,8 @@
 // Component micro-benchmarks on google-benchmark: the cost of the core
 // mechanisms — buffer-pool fixes per replacement policy, page splitting at
 // several graph sizes, the event kernel, candidate scoring, the lock
-// manager, the DSTC access tracker, and the workload RNG. These are
-// engineering baselines, not paper figures.
+// manager, the DSTC access tracker, the placement audit, and the workload
+// RNG. These are engineering baselines, not paper figures.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,9 @@
 #include "cluster/cluster_manager.h"
 #include "cluster/page_splitter.h"
 #include "dyn/access_tracker.h"
+#include "obs/placement_auditor.h"
+#include "ocb/ocb_builder.h"
+#include "ocb/ocb_config.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
@@ -290,6 +293,36 @@ void BM_ScoreCandidates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreCandidates);
+
+// ------------------------------------------------------------ obs
+
+// One placement audit of an ocb_mix-shaped database: 6000 OCB instances of
+// 16 classes, three references each, placed under No_limit, with uniform
+// or zipf reference locality. One iteration is one Sample().
+void BM_PlacementAuditorSample(benchmark::State& state) {
+  ocb::OcbConfig config;
+  config.enabled = true;
+  config.classes = 16;
+  config.instances = 6000;
+  config.refs_per_object = 3;
+  config.locality = static_cast<ocb::RefLocality>(state.range(0));
+  obj::TypeLattice lattice;
+  const ocb::OcbSchema schema = ocb::RegisterOcbClasses(lattice, config, 7);
+  obj::ObjectGraph graph(&lattice);
+  store::StorageManager storage(4096, 0.8);
+  buffer::BufferPool buffer(64, buffer::ReplacementPolicy::kLru, 1);
+  cluster::AffinityModel affinity(&lattice);
+  cluster::ClusterManager mgr(&graph, &storage, &affinity, &buffer,
+                              {.pool = cluster::CandidatePool::kWithinDb});
+  ocb::OcbBuilder(&graph, &mgr, &buffer, config).Build(schema, 7);
+  const obs::PlacementAuditor auditor(&graph, &storage);
+  for (auto _ : state) benchmark::DoNotOptimize(auditor.Sample());
+  state.SetLabel(ocb::RefLocalityName(config.locality));
+}
+BENCHMARK(BM_PlacementAuditorSample)
+    ->Arg(static_cast<int>(ocb::RefLocality::kUniform))
+    ->Arg(static_cast<int>(ocb::RefLocality::kZipf))
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------ rng
 

@@ -23,9 +23,12 @@ J4="${BUILD}/bench_jobs4.json"
 rm -f "${J1}" "${J4}"
 
 # Wall-clock is recorded per job count into a BENCH_experiment_runner.json
-# shaped artifact so perf regressions leave a paper trail next to the
-# determinism gates (the committed copy holds the curated trajectory).
+# shaped artifact, bench_wall.json, so perf regressions leave a paper trail
+# next to the determinism gates (the committed copy holds the curated
+# trajectory): this bench's two runs, then every committed scenario's
+# jobs=1 and jobs=4 runs below (timed_run), written once all have run.
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+seconds() { printf '%d.%03d' $(( $1 / 1000 )) $(( $1 % 1000 )); }
 t0=$(now_ms)
 SEMCLUST_BENCH_FAST=1 SEMCLUST_BENCH_JOBS=1 SEMCLUST_BENCH_JSON="${J1}" \
   "${BENCH}" > "${BUILD}/bench_jobs1.out"
@@ -35,11 +38,6 @@ SEMCLUST_BENCH_FAST=1 SEMCLUST_BENCH_JOBS=4 SEMCLUST_BENCH_JSON="${J4}" \
 t2=$(now_ms)
 wall_j1_ms=$(( t1 - t0 ))
 wall_j4_ms=$(( t2 - t1 ))
-printf '{\n  "bench": "bench_fig5_1_clustering_effects",\n  "mode": "SEMCLUST_BENCH_FAST=1",\n  "grid_cells": 45,\n  "host_cores": %s,\n  "measurements": [\n    {"jobs": 1, "wall_s": %d.%03d},\n    {"jobs": 4, "wall_s": %d.%03d}\n  ]\n}\n' \
-  "$(nproc)" \
-  $(( wall_j1_ms / 1000 )) $(( wall_j1_ms % 1000 )) \
-  $(( wall_j4_ms / 1000 )) $(( wall_j4_ms % 1000 )) \
-  > "${BUILD}/bench_wall.json"
 echo "ci: fig5.1 wall-clock jobs=1 ${wall_j1_ms}ms, jobs=4 ${wall_j4_ms}ms"
 
 strip_wall() { sed -E 's/"elapsed_wall_s":[^,}]+//' "$1"; }
@@ -82,12 +80,22 @@ fi
 # reproduce the hand-written C++ bench byte-for-byte on this toolchain —
 # the declarative path and the compiled path are the same experiment.
 RUN="${BUILD}/tools/semclust_run"
+# timed_run NAME JOBS JSON OUT SCENARIO: one semclust_run, its wall time
+# kept for bench_wall.json.
+SCENARIO_WALL=()
+timed_run() {
+  local t0 t1
+  t0=$(now_ms)
+  "${RUN}" --jobs "$2" --json "$3" "$5" > "$4"
+  t1=$(now_ms)
+  SCENARIO_WALL+=("{\"scenario\": \"$1\", \"jobs\": $2, \"wall_s\": $(seconds $(( t1 - t0 )))}")
+}
 SCENARIO="${ROOT}/bench/scenarios/fig5_1_fast.scenario.json"
 S1="${BUILD}/scenario_jobs1.json"
 S4="${BUILD}/scenario_jobs4.json"
 rm -f "${S1}" "${S4}"
-"${RUN}" --jobs 1 --json "${S1}" "${SCENARIO}" > "${BUILD}/scenario_jobs1.out"
-"${RUN}" --jobs 4 --json "${S4}" "${SCENARIO}" > "${BUILD}/scenario_jobs4.out"
+timed_run fig5_1_fast 1 "${S1}" "${BUILD}/scenario_jobs1.out" "${SCENARIO}"
+timed_run fig5_1_fast 4 "${S4}" "${BUILD}/scenario_jobs4.out" "${SCENARIO}"
 "${BUILD}/tools/bench_diff" "${S1}" "${S4}"
 "${BUILD}/tools/bench_diff" "${J1}" "${S1}"
 "${BUILD}/tools/bench_diff" --baseline "${BASELINE}" --rtol 0 "${S1}"
@@ -133,8 +141,8 @@ OCB_BASELINE="${ROOT}/BENCH_ocb_small.jsonl"
 O1="${BUILD}/ocb_jobs1.json"
 O4="${BUILD}/ocb_jobs4.json"
 rm -f "${O1}" "${O4}"
-"${RUN}" --jobs 1 --json "${O1}" "${OCB_SCENARIO}" > "${BUILD}/ocb_jobs1.out"
-"${RUN}" --jobs 4 --json "${O4}" "${OCB_SCENARIO}" > "${BUILD}/ocb_jobs4.out"
+timed_run ocb_small 1 "${O1}" "${BUILD}/ocb_jobs1.out" "${OCB_SCENARIO}"
+timed_run ocb_small 4 "${O4}" "${BUILD}/ocb_jobs4.out" "${OCB_SCENARIO}"
 if ! diff "${BUILD}/ocb_jobs1.out" "${BUILD}/ocb_jobs4.out"; then
   echo "FAIL: OCB scenario tables differ between job counts" >&2
   exit 1
@@ -162,10 +170,10 @@ CHURN_BASELINE="${ROOT}/BENCH_ocb_churn.jsonl"
 C1="${BUILD}/churn_jobs1.json"
 C4="${BUILD}/churn_jobs4.json"
 rm -f "${C1}" "${C4}"
-"${RUN}" --jobs 1 --json "${C1}" "${CHURN_SCENARIO}" \
-  > "${BUILD}/churn_jobs1.out"
-"${RUN}" --jobs 4 --json "${C4}" "${CHURN_SCENARIO}" \
-  > "${BUILD}/churn_jobs4.out"
+timed_run ocb_churn 1 "${C1}" "${BUILD}/churn_jobs1.out" \
+  "${CHURN_SCENARIO}"
+timed_run ocb_churn 4 "${C4}" "${BUILD}/churn_jobs4.out" \
+  "${CHURN_SCENARIO}"
 if ! diff "${BUILD}/churn_jobs1.out" "${BUILD}/churn_jobs4.out"; then
   echo "FAIL: churn scenario tables differ between job counts" >&2
   exit 1
@@ -183,10 +191,10 @@ SHARD_BASELINE="${ROOT}/BENCH_ocb_shard.jsonl"
 SH1="${BUILD}/shard_jobs1.json"
 SH4="${BUILD}/shard_jobs4.json"
 rm -f "${SH1}" "${SH4}"
-"${RUN}" --jobs 1 --json "${SH1}" "${SHARD_SCENARIO}" \
-  > "${BUILD}/shard_jobs1.out"
-"${RUN}" --jobs 4 --json "${SH4}" "${SHARD_SCENARIO}" \
-  > "${BUILD}/shard_jobs4.out"
+timed_run ocb_shard 1 "${SH1}" "${BUILD}/shard_jobs1.out" \
+  "${SHARD_SCENARIO}"
+timed_run ocb_shard 4 "${SH4}" "${BUILD}/shard_jobs4.out" \
+  "${SHARD_SCENARIO}"
 if ! diff "${BUILD}/shard_jobs1.out" "${BUILD}/shard_jobs4.out"; then
   echo "FAIL: shard scenario tables differ between job counts" >&2
   exit 1
@@ -224,10 +232,10 @@ OCT_DYN_BASELINE="${ROOT}/BENCH_oct_dyn.jsonl"
 D1="${BUILD}/oct_dyn_jobs1.json"
 D4="${BUILD}/oct_dyn_jobs4.json"
 rm -f "${D1}" "${D4}"
-"${RUN}" --jobs 1 --json "${D1}" "${OCT_DYN_SCENARIO}" \
-  > "${BUILD}/oct_dyn_jobs1.out"
-"${RUN}" --jobs 4 --json "${D4}" "${OCT_DYN_SCENARIO}" \
-  > "${BUILD}/oct_dyn_jobs4.out"
+timed_run oct_dyn 1 "${D1}" "${BUILD}/oct_dyn_jobs1.out" \
+  "${OCT_DYN_SCENARIO}"
+timed_run oct_dyn 4 "${D4}" "${BUILD}/oct_dyn_jobs4.out" \
+  "${OCT_DYN_SCENARIO}"
 if ! diff "${BUILD}/oct_dyn_jobs1.out" "${BUILD}/oct_dyn_jobs4.out"; then
   echo "FAIL: OCT dynamic scenario tables differ between job counts" >&2
   exit 1
@@ -246,10 +254,10 @@ BUF_BASELINE="${ROOT}/BENCH_buffer_context.jsonl"
 B1="${BUILD}/buffer_context_jobs1.json"
 B4="${BUILD}/buffer_context_jobs4.json"
 rm -f "${B1}" "${B4}"
-"${RUN}" --jobs 1 --json "${B1}" "${BUF_SCENARIO}" \
-  > "${BUILD}/buffer_context_jobs1.out"
-"${RUN}" --jobs 4 --json "${B4}" "${BUF_SCENARIO}" \
-  > "${BUILD}/buffer_context_jobs4.out"
+timed_run buffer_context 1 "${B1}" "${BUILD}/buffer_context_jobs1.out" \
+  "${BUF_SCENARIO}"
+timed_run buffer_context 4 "${B4}" "${BUILD}/buffer_context_jobs4.out" \
+  "${BUF_SCENARIO}"
 if ! diff "${BUILD}/buffer_context_jobs1.out" \
     "${BUILD}/buffer_context_jobs4.out"; then
   echo "FAIL: buffer-replacement scenario tables differ between job counts" >&2
@@ -272,10 +280,10 @@ CC1="${BUILD}/cc_jobs1.json"
 CC4="${BUILD}/cc_jobs4.json"
 CCB="${BUILD}/cc_bench.json"
 rm -f "${CC1}" "${CC4}" "${CCB}"
-"${RUN}" --jobs 1 --json "${CC1}" "${CC_SCENARIO}" \
-  > "${BUILD}/cc_jobs1.out"
-"${RUN}" --jobs 4 --json "${CC4}" "${CC_SCENARIO}" \
-  > "${BUILD}/cc_jobs4.out"
+timed_run oct_contention 1 "${CC1}" "${BUILD}/cc_jobs1.out" \
+  "${CC_SCENARIO}"
+timed_run oct_contention 4 "${CC4}" "${BUILD}/cc_jobs4.out" \
+  "${CC_SCENARIO}"
 if ! diff "${BUILD}/cc_jobs1.out" "${BUILD}/cc_jobs4.out"; then
   echo "FAIL: contention scenario tables differ between job counts" >&2
   exit 1
@@ -358,6 +366,25 @@ fi
   "${CHURN_BASELINE}" "${C1}" | tee "${BUILD}/churn_compare.out"
 "${BUILD}/tools/ocb_compare" --json "${BUILD}/dyn_rankings.json" \
   "${D1}" "${C1}" | tee "${BUILD}/dyn_compare.out"
+
+# Host wall time: the fig5.1 bench above, then each committed scenario at
+# jobs=1 and jobs=4. Host time is not simulated output: no gate reads it.
+{
+  printf '{\n  "bench": "bench_fig5_1_clustering_effects",\n'
+  printf '  "mode": "SEMCLUST_BENCH_FAST=1",\n  "grid_cells": 45,\n'
+  printf '  "host_cores": %s,\n  "measurements": [\n' "$(nproc)"
+  printf '    {"jobs": 1, "wall_s": %s},\n' "$(seconds "${wall_j1_ms}")"
+  printf '    {"jobs": 4, "wall_s": %s}\n  ],\n' "$(seconds "${wall_j4_ms}")"
+  printf '  "scenarios": [\n'
+  last=$(( ${#SCENARIO_WALL[@]} - 1 ))
+  for i in "${!SCENARIO_WALL[@]}"; do
+    printf '    %s%s\n' "${SCENARIO_WALL[$i]}" "$([ "$i" -lt "${last}" ] && echo ,)"
+  done
+  printf '  ]\n}\n'
+} > "${BUILD}/bench_wall.json"
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+  "${BUILD}/bench_wall.json"
+printf 'ci: scenario wall-clock %s\n' "${SCENARIO_WALL[*]}"
 
 # Release (-O3) job: GCC 12's -Werror=restrict false positive (upstream
 # PR105651) is worked around in objmodel/validator.cc, so the optimised

@@ -5,10 +5,13 @@
 # sharding_test (which builds, migrates and runs N-shard models, so shard
 # ownership is exercised end to end), runs sim_test, cc_test and dyn_test
 # (pooled coroutine frames, recycled lock-table nodes and the flat DSTC
-# tables all manage their own memory lifetimes), dry-runs every committed
-# scenario, and feeds semclust_run inputs that used to crash or run
-# silently wrong. Each of those must exit 2 with an InvalidArgument
-# message.
+# tables all manage their own memory lifetimes), runs txlog_test (recycled
+# page-set entries) and telemetry_test's PlacementAuditor cases (the
+# configuration walk indexes flat arrays by object id and page id, and
+# those cases drive it over hand-built components, the walk cap and churned
+# OCB graphs), dry-runs every committed scenario, and feeds semclust_run
+# inputs that used to crash or run silently wrong. Each of those must exit
+# 2 with an InvalidArgument message.
 #
 #   ./scripts/sanitize.sh            # build tree: build-san/
 #   BUILD=/tmp/san ./scripts/sanitize.sh
@@ -21,7 +24,7 @@ cmake -S "${ROOT}" -B "${BUILD}" -DCMAKE_BUILD_TYPE=Debug \
   -DSEMCLUST_SANITIZE="address|undefined"
 cmake --build "${BUILD}" -j "$(nproc)" \
   --target scenario_test util_test sharding_test sim_test cc_test dyn_test \
-  semclust_run
+  txlog_test telemetry_test semclust_run
 
 export ASAN_OPTIONS="abort_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
@@ -32,6 +35,8 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 "${BUILD}/tests/sim_test"
 "${BUILD}/tests/cc_test"
 "${BUILD}/tests/dyn_test"
+"${BUILD}/tests/txlog_test"
+"${BUILD}/tests/telemetry_test" --gtest_filter='PlacementAuditor*'
 
 RUN="${BUILD}/tools/semclust_run"
 for f in "${ROOT}"/bench/scenarios/*.scenario.json \

@@ -21,17 +21,6 @@ LockManager::LockManager(sim::Simulator& sim, const CcConfig& config)
 
 LockManager::~LockManager() = default;
 
-template <typename K, typename V>
-V& LockManager::RecyclingTable<K, V>::operator[](K key) {
-  auto it = map.find(key);
-  if (it != map.end()) return it->second;
-  if (spare.empty()) return map.try_emplace(key).first->second;
-  typename Map::node_type node = std::move(spare.back());
-  spare.pop_back();
-  node.key() = key;
-  return map.insert(std::move(node)).position->second;
-}
-
 bool LockManager::CompatibleWithHolders(const LockEntry& entry, TxnId txn,
                                         LockMode mode) {
   for (const Holder& h : entry.holders) {

@@ -5,11 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/cc_config.h"
 #include "sim/simulator.h"
+#include "util/recycling_table.h"
 
 /// \file
 /// Object-level strict two-phase locking on the virtual clock: shared /
@@ -183,28 +183,6 @@ class LockManager {
   struct LatchEntry {
     bool held = false;
     std::deque<std::pair<std::coroutine_handle<>, double>> queue;
-  };
-
-  /// A hash table whose emptied entries are not erased but extracted
-  /// into a spare list, then re-keyed and re-inserted on the next miss.
-  /// An entry keeps what its containers allocated (a deque's map and
-  /// chunk, a vector's capacity), so steady-state acquisitions allocate
-  /// nothing. Nothing iterates the table, so node reuse cannot change
-  /// any order.
-  template <typename K, typename V>
-  struct RecyclingTable {
-    using Map = std::unordered_map<K, V>;
-    Map map;
-    std::vector<typename Map::node_type> spare;
-
-    /// The entry for `key`, created empty (from a spare when one is
-    /// left) if absent.
-    V& operator[](K key);
-    /// Moves the entry at `it`, which the caller has emptied, to the
-    /// spare list.
-    void Retire(typename Map::iterator it) {
-      spare.push_back(map.extract(it));
-    }
   };
 
   sim::Simulator& sim_;

@@ -1,6 +1,7 @@
 #include "obs/placement_auditor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "util/json_writer.h"
@@ -13,6 +14,96 @@ namespace {
 /// unvalidated, as in OCT, so the configuration graph may contain cycles):
 /// a walk stops once this many objects are marked.
 constexpr size_t kMaxConfigurationWalk = 4096;
+
+/// One object of the configuration walk's compact index: its page slot and
+/// the start of its run in the CSR of its live kConfiguration/kDown
+/// children (the run ends where the next object's starts).
+struct WalkNode {
+  uint32_t first_child;
+  store::PageId page;
+};
+
+/// The largest strongly connected component of the children graph: one of
+/// its members, its id in the marks FindLargestComponent leaves, and its
+/// size (0 when no object has a child).
+struct Component {
+  obj::ObjectId member = 0;
+  uint32_t id = 0;
+  size_t size = 0;
+};
+
+/// Tarjan's algorithm in Pearce's iterative, space-saving form. `mark`,
+/// all zero on entry, holds a visited object's DFS index, lowered to the
+/// smallest index it reaches among unfinished objects, and once its
+/// component is complete that component's id. Ids count down from
+/// UINT32_MAX, so they stay above every index and a finished component
+/// never lowers a mark: no on-stack flags and no lowlink array. Objects
+/// without children are left unmarked: each is a component of its own. A
+/// DFS starts at each unvisited object with children, in id order; of
+/// equally large components the one completed last wins.
+Component FindLargestComponent(const std::vector<WalkNode>& nodes,
+                               const std::vector<obj::ObjectId>& children,
+                               std::vector<uint32_t>& mark) {
+  struct Frame {
+    obj::ObjectId object;
+    uint32_t next_child;
+    uint32_t index;  ///< the object's own DFS index
+  };
+  std::vector<Frame> calls;
+  std::vector<obj::ObjectId> pending;  // visited, component still open
+  Component largest;
+  uint32_t next_index = 1;
+  uint32_t next_id = UINT32_MAX;
+  const auto num_objects = static_cast<obj::ObjectId>(nodes.size() - 1);
+  for (obj::ObjectId start = 0; start < num_objects; ++start) {
+    if (mark[start] != 0 ||
+        nodes[start].first_child == nodes[start + 1].first_child) {
+      continue;
+    }
+    mark[start] = next_index;
+    calls.push_back({start, nodes[start].first_child, next_index++});
+    while (!calls.empty()) {
+      Frame& frame = calls.back();
+      const obj::ObjectId v = frame.object;
+      const uint32_t end = nodes[v + 1].first_child;
+      bool descended = false;
+      while (frame.next_child < end) {
+        const obj::ObjectId w = children[frame.next_child++];
+        // A leaf is a component of its own and can lower no mark: skip it.
+        if (nodes[w].first_child == nodes[w + 1].first_child) continue;
+        if (mark[w] == 0) {
+          mark[w] = next_index;
+          calls.push_back({w, nodes[w].first_child, next_index++});
+          descended = true;  // `frame` is stale from here on
+          break;
+        }
+        mark[v] = std::min(mark[v], mark[w]);
+      }
+      if (descended) continue;
+      const uint32_t index = frame.index;
+      calls.pop_back();
+      if (mark[v] == index) {
+        // v heads a component: itself and the pending objects after it.
+        size_t size = 1;
+        while (!pending.empty() && mark[pending.back()] >= index) {
+          mark[pending.back()] = next_id;
+          pending.pop_back();
+          ++size;
+        }
+        mark[v] = next_id;
+        if (size >= largest.size) largest = {v, next_id, size};
+        --next_id;
+      } else {
+        pending.push_back(v);
+      }
+      if (!calls.empty()) {
+        uint32_t& parent = mark[calls.back().object];
+        parent = std::min(parent, mark[v]);
+      }
+    }
+  }
+  return largest;
+}
 
 }  // namespace
 
@@ -96,15 +187,10 @@ PlacementSample PlacementAuditor::Sample() const {
   std::vector<uint8_t> type_page_seen(type_count * page_count, 0);
   std::vector<obj::ObjectId> config_roots;
 
-  // The configuration walk's compact index: per object its page slot and
-  // the start of its run in `children`, a CSR of its live
-  // kConfiguration/kDown children. This pass counts them; the runs are
-  // filled once their total is known. Unplaced objects share the extra
-  // page slot `unplaced`, which the walk never counts.
-  struct WalkNode {
-    uint32_t first_child;
-    store::PageId page;
-  };
+  // The configuration walk's compact index (WalkNode): this pass counts
+  // each object's live children; the runs are filled once their total is
+  // known. Unplaced objects share the extra page slot `unplaced`, which
+  // the walk never counts.
   const auto unplaced = static_cast<store::PageId>(page_count);
   const auto num_objects = static_cast<obj::ObjectId>(graph.size());
   std::vector<WalkNode> nodes(num_objects + size_t{1});
@@ -156,6 +242,9 @@ PlacementSample PlacementAuditor::Sample() const {
     if (has_down_config && !has_up_config) config_roots.push_back(id);
   }
   nodes[num_objects].first_child = child_count;
+  // The types-by-pages matrix is done with: release it before the
+  // configuration walks allocate theirs.
+  std::vector<uint8_t>().swap(type_page_seen);
   // Each run in ForEachNeighbor order, which is the walk's push order.
   std::vector<obj::ObjectId> children(child_count);
   for (obj::ObjectId id = 0; id < num_objects; ++id) {
@@ -210,21 +299,74 @@ PlacementSample PlacementAuditor::Sample() const {
   }
 
   // ---- pages per configuration ----
-  // A depth-first walk from each root over the index, marking on push and
-  // stopping once kMaxConfigurationWalk objects are marked (the last pop
-  // may push past the cap). Marked-but-unpopped objects add no pages, so a
-  // capped count depends on the LIFO order, which is why the index keeps
-  // ForEachNeighbor's order. Stamped marks (equal to the current walk number means
-  // "seen by this root's walk") need no clearing between roots. A push
-  // always writes the slot above the top and only advances past it when
-  // the child is fresh; a walk never holds more than the cap plus one
-  // object's children, so the stack is sized once.
-  double config_pages_sum = 0;
+  // A configuration spans the distinct pages, the unplaced slot aside, of
+  // the objects its root's walk pops. The walk marks on push and stops
+  // once kMaxConfigurationWalk objects are marked, so one that stays under
+  // the cap pops exactly the objects reachable from the root, and its page
+  // count depends on that set alone, not on the visit order. Roots of a
+  // cyclic graph (OCB) share most of that set, so it is walked once:
+  //   S  the largest strongly connected component of the children graph;
+  //   H  everything reachable from S (S included): its size and its
+  //      distinct pages are counted once per sample.
+  // Every object of S reaches all of H. A root's local walk therefore
+  // stops at S objects, noting that it met one, and expands the rest (an
+  // object of H outside S proves nothing: it need not lead back to S).
+  // If it met S, its reach is H plus the local objects outside H, and its
+  // pages are H's plus the local pages outside them; otherwise its reach
+  // is the local walk. Only a reach of kMaxConfigurationWalk or more
+  // makes the count order-dependent: then the root is walked again with
+  // the capped walk below, and the local walk stops as soon as the reach
+  // is known to be that large, so such a root pays for at most two capped
+  // walks.
+  constexpr uint8_t kInS = 1;
+  constexpr uint8_t kInH = 2;
   std::vector<uint32_t> object_mark(num_objects, 0);
+  std::vector<uint8_t> h_flags(num_objects, 0);  // kInS | kInH
+  std::vector<uint8_t> page_in_h(page_count + 1, 0);
+  page_in_h[unplaced] = 1;  // never counted, in H or outside it
+  size_t h_objects = 0;
+  size_t h_pages = 0;
+  {
+    const Component s_component =
+        FindLargestComponent(nodes, children, object_mark);
+    std::vector<obj::ObjectId> h_stack;
+    if (s_component.size > 0) {
+      h_flags[s_component.member] = kInS | kInH;
+      h_stack.push_back(s_component.member);
+    }
+    while (!h_stack.empty()) {
+      const obj::ObjectId o = h_stack.back();
+      h_stack.pop_back();
+      ++h_objects;
+      const store::PageId p = nodes[o].page;
+      h_pages += page_in_h[p] == 0;
+      page_in_h[p] = 1;
+      const uint32_t end = nodes[o + 1].first_child;
+      for (uint32_t i = nodes[o].first_child; i < end; ++i) {
+        const obj::ObjectId c = children[i];
+        if (h_flags[c] != 0) continue;
+        h_flags[c] = object_mark[c] == s_component.id ? kInS | kInH : kInH;
+        h_stack.push_back(c);
+      }
+    }
+    std::fill(object_mark.begin(), object_mark.end(), 0);
+  }
+
+  // Stamped marks (equal to the current walk number means "seen by this
+  // walk") need no clearing between walks. Neither walk holds more than
+  // the cap plus one object's children, so the stack is sized once.
+  double config_pages_sum = 0;
   std::vector<uint32_t> page_mark(page_count + 1, 0);
   std::vector<obj::ObjectId> stack(kMaxConfigurationWalk + max_children);
   uint32_t walk = 0;
-  for (const obj::ObjectId root : config_roots) {
+
+  // The capped walk: depth-first from `root`, stopping once
+  // kMaxConfigurationWalk objects are marked (the last pop may push past
+  // the cap). Marked-but-unpopped objects add no pages, so the count
+  // depends on the LIFO order, which is why the index keeps
+  // ForEachNeighbor's order. A push always writes the slot above the top
+  // and only advances past it when the child is fresh.
+  const auto capped_walk = [&](obj::ObjectId root) {
     ++walk;
     object_mark[root] = walk;
     stack[0] = root;
@@ -248,7 +390,51 @@ PlacementSample PlacementAuditor::Sample() const {
         visited += fresh;
       }
     }
-    distinct_pages -= page_mark[unplaced] == walk;
+    return distinct_pages - (page_mark[unplaced] == walk);
+  };
+
+  for (const obj::ObjectId root : config_roots) {
+    ++walk;
+    object_mark[root] = walk;
+    bool met_s = (h_flags[root] & kInS) != 0;
+    size_t marked = 1;
+    size_t marked_outside_h = (h_flags[root] & kInH) == 0;
+    size_t pages = 0;             // distinct pages popped
+    size_t pages_outside_h = 0;   // ... of them not among H's pages
+    size_t top = 0;
+    if (!met_s) stack[top++] = root;
+    const auto reach = [&] {
+      return met_s ? h_objects + marked_outside_h : marked;
+    };
+    while (top > 0 && reach() < kMaxConfigurationWalk) {
+      const obj::ObjectId o = stack[--top];
+      const store::PageId p = nodes[o].page;
+      const bool fresh_page = page_mark[p] != walk;
+      page_mark[p] = walk;
+      pages += fresh_page;
+      pages_outside_h += fresh_page && page_in_h[p] == 0;
+      const uint32_t end = nodes[o + 1].first_child;
+      for (uint32_t i = nodes[o].first_child; i < end; ++i) {
+        const obj::ObjectId c = children[i];
+        if (object_mark[c] == walk) continue;
+        object_mark[c] = walk;
+        ++marked;
+        marked_outside_h += (h_flags[c] & kInH) == 0;
+        if ((h_flags[c] & kInS) != 0) {
+          met_s = true;  // H is counted as a whole: do not expand
+          continue;
+        }
+        stack[top++] = c;
+      }
+    }
+    size_t distinct_pages;
+    if (reach() >= kMaxConfigurationWalk) {
+      distinct_pages = capped_walk(root);
+    } else if (met_s) {
+      distinct_pages = h_pages + pages_outside_h;
+    } else {
+      distinct_pages = pages - (page_mark[unplaced] == walk);
+    }
     config_pages_sum += static_cast<double>(distinct_pages);
     ++s.configurations;
   }

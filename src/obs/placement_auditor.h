@@ -97,12 +97,17 @@ struct PlacementSample {
 
 /// Computes PlacementSamples from a live graph + storage pair. Holds no
 /// state beyond the two pointers; every Sample() is a fresh full scan,
-/// O(objects + edges + pages + roots x 4096): one pass over objects and
-/// edges, which also builds a compact index of configuration children,
-/// then a depth-first walk per configuration root over that index,
-/// stopped once 4096 objects are marked. A capped walk's page count
-/// depends on the order children are visited in, so the index keeps the
-/// graph's edge order (DESIGN.md §9).
+/// O(objects + edges + pages + local walks + capped roots x 4096): one
+/// pass over objects and edges, which also builds a compact index of
+/// configuration children; one pass of Tarjan's algorithm over that index
+/// and one walk of the closure H of its largest strongly connected
+/// component S; then per configuration root a local walk that stops at S
+/// objects, since a root that reaches S reaches all of H. A walk under the
+/// 4096-object cap counts the same pages in any order, so these counts are
+/// exact; a root whose reach is 4096 or more is walked again depth-first,
+/// stopped once 4096 objects are marked. That capped count depends on the
+/// order children are visited in, so the index keeps the graph's edge
+/// order (DESIGN.md §9).
 ///
 /// Known defect: the auditor reads one StorageManager. The core hands it
 /// shard 0's, so with shards > 1 a sample covers shard 0 only: objects

@@ -2,14 +2,13 @@
 #define SEMCLUST_TXLOG_LOG_MANAGER_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "obs/trace_sink.h"
 #include "storage/page.h"
 #include "util/check.h"
+#include "util/recycling_table.h"
 
 /// \file
 /// Transaction logging (paper §4.1): a circular in-memory log buffer whose
@@ -75,9 +74,7 @@ class LogManager {
   void Abort(TxnId txn);
 
   /// The pages an active transaction has logged writes against, sorted by
-  /// page id. The rollback path (src/cc/) walks this to undo dirty work;
-  /// sorting keeps the iteration order independent of the hash layout of
-  /// the internal page set.
+  /// page id. The rollback path (src/cc/) walks this to undo dirty work.
   std::vector<store::PageId> TouchedPages(TxnId txn) const;
 
   uint64_t records_appended() const { return records_; }
@@ -111,6 +108,8 @@ class LogManager {
   void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
  private:
+  /// Drops an active transaction's page set (its entry is recycled).
+  void Forget(TxnId txn);
   /// Appends a record of `payload` bytes; returns flush I/Os (0 or 1).
   int Append(uint32_t payload);
   void Journal(LogRecordType type, TxnId txn, store::PageId page,
@@ -121,7 +120,11 @@ class LogManager {
   uint32_t header_;
   uint32_t buffered_ = 0;
 
-  std::unordered_map<TxnId, std::unordered_set<store::PageId>> touched_;
+  /// Per active transaction, the pages it has logged writes against,
+  /// sorted. A transaction touches few pages, so a sorted vector beats a
+  /// hash set, and recycled entries keep its capacity: steady-state
+  /// logging allocates nothing.
+  RecyclingTable<TxnId, std::vector<store::PageId>> touched_;
 
   uint64_t records_ = 0;
   uint64_t before_images_ = 0;

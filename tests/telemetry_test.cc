@@ -564,6 +564,258 @@ TEST(PlacementAuditorExactnessTest, WalkStopsAfterTheCapsLastPop) {
   }
 }
 
+// Hand-built configuration graphs for the shared-closure walk: the
+// auditor walks the closure H of the largest strongly connected component
+// S once per sample and adds each root's local walk to it (DESIGN.md §9).
+// Objects are 40 bytes on 1000-byte pages; Add() gives each object a page
+// of its own, so an uncapped walk spans one page per placed object.
+class WalkGraph {
+ public:
+  WalkGraph() : graph_(&lattice_), storage_(1000) {
+    type_ = lattice_.DefineType("t", obj::kInvalidType, 0, {});
+    family_ = graph_.NewFamily("f");
+  }
+
+  /// A new object on a page of its own.
+  obj::ObjectId Add() { return AddOn(storage_.AllocatePage()); }
+  /// A new object on `page`, or unplaced for store::kInvalidPage.
+  obj::ObjectId AddOn(store::PageId page) {
+    const obj::ObjectId id = graph_.Create(family_, 0, type_, 40);
+    if (page != store::kInvalidPage) {
+      EXPECT_TRUE(storage_.Place(id, 40, page).ok());
+    }
+    return id;
+  }
+  /// `n` new objects, each on a page of its own, linked first to last.
+  std::vector<obj::ObjectId> Chain(size_t n) {
+    std::vector<obj::ObjectId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(Add());
+      if (i > 0) Link(ids[i - 1], ids[i]);
+    }
+    return ids;
+  }
+  /// A chain closed back onto its first object.
+  std::vector<obj::ObjectId> Cycle(size_t n) {
+    std::vector<obj::ObjectId> ids = Chain(n);
+    Link(ids.back(), ids.front());
+    return ids;
+  }
+  void Link(obj::ObjectId parent, obj::ObjectId child) {
+    graph_.Relate(parent, child, obj::RelKind::kConfiguration);
+  }
+  store::PageId PageOf(obj::ObjectId id) const { return storage_.PageOf(id); }
+
+  obj::ObjectGraph& graph() { return graph_; }
+  store::StorageManager& storage() { return storage_; }
+  obs::PlacementSample Sample() const {
+    return obs::PlacementAuditor(&graph_, &storage_).Sample();
+  }
+
+ private:
+  obj::TypeLattice lattice_;
+  obj::ObjectGraph graph_;
+  store::StorageManager storage_;
+  obj::TypeId type_ = obj::kInvalidType;
+  obj::FamilyId family_ = obj::kInvalidFamily;
+};
+
+TEST(PlacementAuditorExactnessTest, RootsInsideTheComponentMatchTheOracle) {
+  // A root has no incoming configuration edge, so the only component it
+  // can belong to is its own singleton, which is S when no component is
+  // larger. Of equally large components the one completed last is S: the
+  // component DFS starts at objects with children in id order, so here it
+  // is `root`, created last. Its reach is then H itself, either under the
+  // cap (H's pages) or over it (the capped walk).
+  for (const size_t tree : {size_t{60}, size_t{5000}}) {
+    SCOPED_TRACE(tree);
+    WalkGraph g;
+    const obj::ObjectId small_root = g.Add();
+    const std::vector<obj::ObjectId> small = g.Chain(10);
+    g.Link(small_root, small[0]);
+    const std::vector<obj::ObjectId> body = g.Chain(tree);
+    // A second root sharing part of the big root's configuration.
+    const obj::ObjectId sharer = g.Add();
+    g.Link(sharer, body[tree / 2]);
+    g.Link(sharer, small[3]);
+    const obj::ObjectId root = g.Add();
+    g.Link(root, body[0]);
+    g.Link(root, small[5]);
+    ExpectSampleMatchesOracle(g.graph(), g.storage());
+    const obs::PlacementSample s = g.Sample();
+    EXPECT_EQ(s.configurations, 3u);
+  }
+}
+
+TEST(PlacementAuditorExactnessTest, ReachingTheClosureButNotTheComponent) {
+  // S is a 10-object cycle; its closure H adds a 20-object tail. `outside`
+  // enters the tail only: reaching part of H proves nothing about the rest
+  // of it. `inside` enters the cycle, so it reaches all of H. Their local
+  // objects share pages with H's objects and with each other.
+  WalkGraph g;
+  const std::vector<obj::ObjectId> cycle = g.Cycle(10);
+  const std::vector<obj::ObjectId> tail = g.Chain(20);
+  g.Link(cycle[9], tail[0]);
+
+  const obj::ObjectId outside = g.AddOn(g.PageOf(cycle[2]));
+  const obj::ObjectId outside_part = g.AddOn(g.PageOf(tail[15]));
+  g.Link(outside, outside_part);
+  g.Link(outside_part, tail[12]);
+
+  const obj::ObjectId inside = g.AddOn(g.PageOf(tail[19]));
+  const obj::ObjectId inside_part = g.Add();
+  const obj::ObjectId inside_shared = g.AddOn(g.PageOf(inside_part));
+  g.Link(inside, inside_part);
+  g.Link(inside_part, inside_shared);
+  g.Link(inside_part, tail[3]);  // H outside S first, then S
+  g.Link(inside_shared, cycle[4]);
+  g.Link(inside, outside_part);
+
+  ExpectSampleMatchesOracle(g.graph(), g.storage());
+  // outside: cycle[2]'s page and tail[12..19]'s 8 (outside_part is on
+  // tail[15]'s); inside: inside_part's page and all 30 of H.
+  EXPECT_EQ(g.Sample().mean_pages_per_configuration, (9.0 + 31.0) / 2);
+}
+
+TEST(PlacementAuditorExactnessTest, ReachAroundTheCapNearAGiantComponent) {
+  // One root whose local chain enters a 3000-object cycle; a 1000-object
+  // tail leaves it, so |H| = 4000 and the root reaches 1 + chain + 4000
+  // objects. Every object sits on its own page and every walk is a single
+  // path: a reach of 4095 is walked in full (4095 pages), one of 4096 or
+  // more is capped after 4095 pops (4095 pages), so counting a 4096 reach
+  // uncapped would read 4096.
+  for (const size_t reach : {size_t{4095}, size_t{4096}, size_t{4097}}) {
+    SCOPED_TRACE(reach);
+    WalkGraph g;
+    const std::vector<obj::ObjectId> cycle = g.Cycle(3000);
+    const std::vector<obj::ObjectId> tail = g.Chain(1000);
+    g.Link(cycle.back(), tail.front());
+    const obj::ObjectId root = g.Add();
+    const std::vector<obj::ObjectId> local = g.Chain(reach - 1 - 4000);
+    g.Link(root, local.front());
+    g.Link(local.back(), cycle.front());
+    ExpectSampleMatchesOracle(g.graph(), g.storage());
+    EXPECT_EQ(g.Sample().mean_pages_per_configuration, 4095.0);
+  }
+  // The same sizes without a component: the chain alone, whose root is
+  // then S (see RootsInsideTheComponentMatchTheOracle).
+  for (const size_t reach : {size_t{4095}, size_t{4096}, size_t{4097}}) {
+    SCOPED_TRACE(reach);
+    WalkGraph g;
+    g.Chain(reach);
+    ExpectSampleMatchesOracle(g.graph(), g.storage());
+    EXPECT_EQ(g.Sample().mean_pages_per_configuration, 4095.0);
+  }
+}
+
+TEST(PlacementAuditorExactnessTest, TwoEquallyLargeComponentsMatchTheOracle) {
+  // Two 50-object cycles, the first leading into the second. Which one is
+  // S depends on creation order; both orders must give the oracle's count.
+  // Roots enter the first, the second, both, or neither.
+  for (const bool upstream_first : {true, false}) {
+    SCOPED_TRACE(upstream_first);
+    WalkGraph g;
+    std::vector<obj::ObjectId> upstream;
+    std::vector<obj::ObjectId> downstream;
+    if (upstream_first) {
+      upstream = g.Cycle(50);
+      downstream = g.Cycle(50);
+    } else {
+      downstream = g.Cycle(50);
+      upstream = g.Cycle(50);
+    }
+    g.Link(upstream[25], downstream[10]);
+    const obj::ObjectId to_upstream = g.Add();
+    g.Link(to_upstream, upstream[0]);
+    const obj::ObjectId to_downstream = g.Add();
+    g.Link(to_downstream, downstream[0]);
+    const obj::ObjectId to_both = g.Add();
+    g.Link(to_both, downstream[40]);
+    g.Link(to_both, upstream[40]);
+    const obj::ObjectId to_neither = g.Add();
+    g.Chain(5);
+    g.Link(to_neither, to_neither + 1);
+    ExpectSampleMatchesOracle(g.graph(), g.storage());
+    // 101, 51, 101 and 6 pages.
+    EXPECT_EQ(g.Sample().mean_pages_per_configuration, 259.0 / 4);
+  }
+}
+
+TEST(PlacementAuditorExactnessTest, DeadAndUnplacedObjectsInsideTheComponent) {
+  // A 40-object cycle with every third member unplaced, and a placed
+  // 30-object cycle it leads into. Roots enter each.
+  WalkGraph g;
+  std::vector<obj::ObjectId> big;
+  for (size_t i = 0; i < 40; ++i) {
+    big.push_back(i % 3 == 0 ? g.AddOn(store::kInvalidPage) : g.Add());
+    if (i > 0) g.Link(big[i - 1], big[i]);
+  }
+  g.Link(big.back(), big.front());
+  const std::vector<obj::ObjectId> small = g.Cycle(30);
+  g.Link(big[7], small[0]);
+  const obj::ObjectId to_big = g.Add();
+  g.Link(to_big, big[1]);
+  const obj::ObjectId to_small = g.AddOn(store::kInvalidPage);
+  g.Link(to_small, small[29]);
+  ExpectSampleMatchesOracle(g.graph(), g.storage());
+  // to_big: itself, 26 placed big members and the small cycle.
+  EXPECT_EQ(g.Sample().mean_pages_per_configuration, (57.0 + 30.0) / 2);
+
+  // Deleting a member breaks the big cycle into a chain, so the small
+  // cycle becomes S; deleting a member of it too leaves no cycle at all.
+  g.graph().Remove(big[20]);
+  ASSERT_TRUE(g.storage().Erase(big[20]).ok());
+  ExpectSampleMatchesOracle(g.graph(), g.storage());
+  g.graph().Remove(small[12]);
+  ASSERT_TRUE(g.storage().Erase(small[12]).ok());
+  ExpectSampleMatchesOracle(g.graph(), g.storage());
+}
+
+TEST(PlacementAuditorExactnessTest, AcyclicForestMatchesTheOracle) {
+  // OCT-like: every component is a single object. Roots head trees of
+  // fanout 3 and depth 4 whose leaves are shared with the next tree, some
+  // objects unplaced, pages shared along each tree, and one tree of
+  // fanout 4 and depth 6 (5461 objects) large enough for the cap.
+  WalkGraph g;
+  const auto tree = [&g](size_t fanout, size_t depth, size_t per_page) {
+    std::vector<obj::ObjectId> level = {g.Add()};
+    std::vector<obj::ObjectId> all = level;
+    store::PageId page = g.PageOf(level[0]);
+    size_t on_page = 1;
+    for (size_t d = 1; d < depth; ++d) {
+      std::vector<obj::ObjectId> next;
+      for (const obj::ObjectId parent : level) {
+        for (size_t k = 0; k < fanout; ++k) {
+          if (on_page == per_page) {
+            page = g.storage().AllocatePage();
+            on_page = 0;
+          }
+          const bool unplaced = all.size() % 11 == 5;
+          const obj::ObjectId c =
+              g.AddOn(unplaced ? store::kInvalidPage : page);
+          on_page += !unplaced;
+          g.Link(parent, c);
+          next.push_back(c);
+          all.push_back(c);
+        }
+      }
+      level = std::move(next);
+    }
+    return level;  // the leaves
+  };
+  std::vector<obj::ObjectId> previous_leaves;
+  for (size_t t = 0; t < 8; ++t) {
+    const std::vector<obj::ObjectId> leaves = tree(3, 4, 1 + t % 4);
+    for (size_t i = 0; i < previous_leaves.size(); i += 4) {
+      g.Link(leaves[i % leaves.size()], previous_leaves[i]);
+    }
+    previous_leaves = leaves;
+  }
+  tree(4, 6, 3);
+  ExpectSampleMatchesOracle(g.graph(), g.storage());
+  EXPECT_EQ(g.Sample().configurations, 9u);
+}
+
 TEST(PlacementSampleTest, MergeOfEmptySamplesStaysFinite) {
   // Cross-cell folds can merge samples from cells whose placement churned
   // down to nothing; the re-weighted means must not divide by zero.

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "txlog/log_manager.h"
 
@@ -112,6 +114,23 @@ TEST(LogManagerTest, AbortForgetsTransaction) {
   log.LogWrite(1, 10, 100);
   EXPECT_EQ(log.before_images(), 2u);
   log.Commit(1);
+}
+
+TEST(LogManagerTest, TouchedPagesAreSortedDistinctAndPerTransaction) {
+  LogManager log(64 * 1024, kPage, kHeader);
+  log.Begin(1);
+  for (const store::PageId page : {12u, 3u, 12u, 7u, 3u, 40u}) {
+    log.LogWrite(1, page, 100);
+  }
+  EXPECT_EQ(log.TouchedPages(1), (std::vector<store::PageId>{3, 7, 12, 40}));
+  EXPECT_EQ(log.before_images(), 4u);
+  log.Commit(1);
+  log.Begin(2);  // takes the entry transaction 1 left: it starts empty
+  EXPECT_TRUE(log.TouchedPages(2).empty());
+  log.LogWrite(2, 7, 100);
+  EXPECT_EQ(log.TouchedPages(2), (std::vector<store::PageId>{7}));
+  EXPECT_EQ(log.before_images(), 5u);
+  log.Abort(2);
 }
 
 TEST(LogManagerTest, ResetCountersPreservesActiveTransactions) {
